@@ -6,6 +6,9 @@
 //! of their candidate-structure caches so that every function of a class is
 //! synthesised only once.
 
+use std::sync::OnceLock;
+
+use crate::truth::{flip_u64, mask_for, remap_u64};
 use crate::TruthTable;
 
 /// The transformation that maps a function onto its NPN canonical form.
@@ -60,11 +63,57 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
+/// Largest variable count [`npn_canonical`] accepts.
+const MAX_EXACT_VARS: usize = 5;
+
+/// A permutation (`perm[new] = old`) and its inverse, the placement
+/// [`remap_u64`] takes to apply it (`placement[old] = new`).
+type PermutationEntry = (Vec<usize>, Vec<usize>);
+
+/// Every permutation of `0..n` for `n <= 5`, in [`permutations`] order, each
+/// paired with its placement. Built once per process.
+fn permutation_table(n: usize) -> &'static [PermutationEntry] {
+    static TABLE: OnceLock<Vec<Vec<PermutationEntry>>> = OnceLock::new();
+    &TABLE.get_or_init(|| {
+        (0..=MAX_EXACT_VARS)
+            .map(|n| {
+                permutations(n)
+                    .into_iter()
+                    .map(|perm| {
+                        let mut placement = vec![0; n];
+                        for (new_var, &old_var) in perm.iter().enumerate() {
+                            placement[old_var] = new_var;
+                        }
+                        (perm, placement)
+                    })
+                    .collect()
+            })
+            .collect()
+    })[n]
+}
+
 /// Computes the exact NPN canonical form of a function with at most five
 /// variables by exhaustive search over all transformations.
 ///
-/// The canonical representative is the lexicographically smallest truth table
-/// reachable within the NPN class.
+/// The canonical representative is the smallest truth table reachable within
+/// the NPN class, compared as the single inline word (which is
+/// [`TruthTable`]'s order for equal variable counts).
+///
+/// # Tie-break contract
+///
+/// When several transformations reach the representative, the returned
+/// transform is the *first* one in this order: permutations in the fixed
+/// order of the recursive swap enumeration (the identity first), then
+/// `input_neg` ascending, then `output_neg` `false` before `true`. The
+/// resynthesis layers replay a class's structure through this transform, so
+/// the choice networks and graph-mapped views they emit depend on it byte for
+/// byte; a search that returns another transform of the same representative
+/// changes their output.
+///
+/// The search runs on the inline word: each permutation is applied once with
+/// the word-level remap, its `2^n` input-negation variants are derived in
+/// ascending mask order with one variable flip each, and the output
+/// complement is a masked `!`.
 ///
 /// # Panics
 ///
@@ -72,38 +121,55 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// as `2 * n! * 2^n`; use [`npn_semi_canonical`] for larger functions).
 pub fn npn_canonical(function: &TruthTable) -> NpnCanonical {
     let n = function.num_vars();
-    assert!(n <= 5, "exact NPN canonicalisation supports at most 5 variables");
-    let mut best: Option<NpnCanonical> = None;
-    for perm in permutations(n) {
-        for input_neg in 0..(1u32 << n) {
-            for output_neg in [false, true] {
-                let candidate = function.transform(&perm, input_neg, output_neg);
-                let better = match &best {
-                    None => true,
-                    Some(b) => candidate < b.representative,
-                };
-                if better {
-                    best = Some(NpnCanonical {
-                        representative: candidate,
-                        transform: NpnTransform {
-                            perm: perm.clone(),
-                            input_neg,
-                            output_neg,
-                        },
-                    });
+    assert!(
+        n <= MAX_EXACT_VARS,
+        "exact NPN canonicalisation supports at most {MAX_EXACT_VARS} variables"
+    );
+    let word = function.as_u64();
+    let mask = mask_for(n);
+    let table = permutation_table(n);
+    // `variants[m]` is the permuted word with the inputs in mask `m` negated.
+    let mut variants = [0u64; 1 << MAX_EXACT_VARS];
+    // (word, permutation index, input_neg, output_neg). Every candidate fits
+    // in 32 bits, so the first one always replaces the sentinel, and the
+    // strict `<` keeps the first minimum in search order.
+    let mut best = (u64::MAX, 0, 0, false);
+    for (index, (_, placement)) in table.iter().enumerate() {
+        variants[0] = remap_u64(word, placement, n);
+        for var in 0..n {
+            let half = 1 << var;
+            for m in 0..half {
+                variants[half + m] = flip_u64(variants[m], var);
+            }
+        }
+        for (input_neg, &v) in variants[..1 << n].iter().enumerate() {
+            for (output_neg, candidate) in [(false, v), (true, !v & mask)] {
+                if candidate < best.0 {
+                    best = (candidate, index, input_neg, output_neg);
                 }
             }
         }
     }
-    best.expect("at least the identity transformation was evaluated")
+    let (representative, index, input_neg, output_neg) = best;
+    NpnCanonical {
+        representative: TruthTable::from_u64(n, representative),
+        transform: NpnTransform {
+            perm: table[index].0.clone(),
+            input_neg: input_neg as u32,
+            output_neg,
+        },
+    }
 }
 
 /// Computes a semi-canonical NPN form for functions of any supported size.
 ///
 /// The result is canonical only with respect to output polarity and a
-/// cofactor-count-based variable ordering heuristic, which is sufficient for
-/// use as a cache key (functions in the same semi-canonical bucket are later
-/// verified explicitly).
+/// cofactor-count-based variable ordering heuristic, so two functions of one
+/// NPN class may land in different buckets. That is sufficient for use as a
+/// cache key: functions that share a bucket share the representative exactly,
+/// and `function.transform(perm, input_neg, output_neg)` reproduces it, so a
+/// structure synthesised for the representative replays correctly through
+/// the inverse transform without any further check.
 pub fn npn_semi_canonical(function: &TruthTable) -> NpnCanonical {
     let n = function.num_vars();
     if n <= 5 {
@@ -172,6 +238,70 @@ pub fn npn_apply_inverse(table: &TruthTable, transform: &NpnTransform) -> TruthT
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Prng;
+
+    /// The retired exhaustive search over heap-built truth-table transforms,
+    /// kept as the reference for the word-level [`npn_canonical`]: the
+    /// first minimum in (permutation, `input_neg`, `output_neg`) order.
+    fn npn_canonical_reference(function: &TruthTable) -> NpnCanonical {
+        let n = function.num_vars();
+        assert!(n <= 5, "exact NPN canonicalisation supports at most 5 variables");
+        let mut best: Option<NpnCanonical> = None;
+        for perm in permutations(n) {
+            for input_neg in 0..(1u32 << n) {
+                for output_neg in [false, true] {
+                    let candidate = function.transform(&perm, input_neg, output_neg);
+                    let better = match &best {
+                        None => true,
+                        Some(b) => candidate < b.representative,
+                    };
+                    if better {
+                        best = Some(NpnCanonical {
+                            representative: candidate,
+                            transform: NpnTransform {
+                                perm: perm.clone(),
+                                input_neg,
+                                output_neg,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+        best.expect("at least the identity transformation was evaluated")
+    }
+
+    fn assert_matches_reference(f: &TruthTable) {
+        assert_eq!(npn_canonical(f), npn_canonical_reference(f), "{f:?}");
+    }
+
+    #[test]
+    fn matches_reference_on_every_function_of_up_to_three_inputs() {
+        for n in 0..=3usize {
+            for bits in 0..1u64 << (1 << n) {
+                assert_matches_reference(&TruthTable::from_u64(n, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_sampled_four_and_five_input_functions() {
+        let mut rng = Prng::seed_from_u64(0x4E50_4E00);
+        for _ in 0..1000 {
+            assert_matches_reference(&TruthTable::from_u64(4, rng.next_u64()));
+        }
+        for _ in 0..50 {
+            assert_matches_reference(&TruthTable::from_u64(5, rng.next_u64()));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; release only")]
+    fn matches_reference_on_every_four_input_function() {
+        for bits in 0..1u64 << 16 {
+            assert_matches_reference(&TruthTable::from_u64(4, bits));
+        }
+    }
 
     #[test]
     fn and_class_members_share_representative() {
@@ -231,15 +361,16 @@ mod tests {
     }
 
     #[test]
-    fn count_of_two_var_npn_classes() {
-        // There are exactly 4 NPN classes of 2-variable functions:
-        // constants, single variable, AND-like, XOR-like.
-        let mut reps = std::collections::HashSet::new();
-        for bits in 0..16u64 {
-            let f = TruthTable::from_u64(2, bits);
-            reps.insert(npn_canonical(&f).representative);
+    fn count_of_npn_classes() {
+        // There are exactly 4 NPN classes of 2-variable functions
+        // (constants, single variable, AND-like, XOR-like), 14 of
+        // 3-variable functions and 222 of 4-variable functions.
+        for (n, classes) in [(2usize, 4usize), (3, 14), (4, 222)] {
+            let reps: std::collections::HashSet<TruthTable> = (0..1u64 << (1 << n))
+                .map(|bits| npn_canonical(&TruthTable::from_u64(n, bits)).representative)
+                .collect();
+            assert_eq!(reps.len(), classes, "{n} variables");
         }
-        assert_eq!(reps.len(), 4);
     }
 
     #[test]

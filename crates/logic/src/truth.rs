@@ -68,7 +68,7 @@ fn words_for(num_vars: usize) -> usize {
     }
 }
 
-fn mask_for(num_vars: usize) -> u64 {
+pub(crate) fn mask_for(num_vars: usize) -> u64 {
     if num_vars >= INLINE_VARS {
         u64::MAX
     } else {
@@ -452,12 +452,9 @@ impl TruthTable {
     /// Complements input variable `var`.
     pub fn flip_var(&self, var: usize) -> TruthTable {
         if let Repr::Small(w) = self.repr {
-            let shift = 1usize << var;
-            let mask = VAR_PATTERNS[var];
-            let flipped = ((w & mask) >> shift) | ((w & !mask) << shift);
             let mut t = TruthTable {
                 num_vars: self.num_vars,
-                repr: Repr::Small(flipped),
+                repr: Repr::Small(flip_u64(w, var)),
             };
             t.mask();
             return t;
@@ -534,6 +531,20 @@ fn swap_adjacent_u64(t: u64, v: usize) -> u64 {
     let pw = VAR_PATTERNS[v + 1];
     let shift = 1u32 << v;
     (t & !(pv ^ pw)) | ((t & (pv & !pw)) << shift) | ((t & (!pv & pw)) >> shift)
+}
+
+/// Complements variable `v` of a single-word table.
+///
+/// Minterms with `v = 1` trade places with their `v = 0` counterpart, which
+/// sits exactly `2^v` bit positions below: two masked shifts, no per-minterm
+/// work. A table over more than `v` variables stays inside its `2^num_vars`
+/// bits.
+#[inline]
+pub(crate) fn flip_u64(t: u64, v: usize) -> u64 {
+    debug_assert!(v < INLINE_VARS);
+    let pv = VAR_PATTERNS[v];
+    let shift = 1u32 << v;
+    ((t & pv) >> shift) | ((t & !pv) << shift)
 }
 
 /// Remaps a single-word table onto `new_num_vars <= 6` variables, sending old
