@@ -12,12 +12,10 @@
 //!   [`decompose`]/[`emit_decomposed`] (DSD/Shannon), cached per NPN class in
 //!   [`NpnDatabase`].
 //!
-//! Construction is organised as a plan/commit split so the expensive
-//! resynthesis work shards across the process-wide worker pool
-//! ([`mch_cut::WorkerPool`]): workers produce detached recipes
-//! ([`GateRecipe`], [`NpnPlan`]) and the coordinator commits them in node-id
-//! order, making threaded builds byte-identical to serial ones (see
-//! `build_mch`'s module docs and [`MchParams::threads`]).
+//! Construction is one serial pass over the input in node-id order; only its
+//! cut enumeration runs on the process-wide worker pool
+//! ([`mch_cut::WorkerPool`]), so builds are byte-identical at every
+//! [`MchParams::threads`].
 //!
 //! # Example
 //!
@@ -49,9 +47,8 @@ pub use choice_network::ChoiceNetwork;
 pub use dch::{add_snapshot_choices, dch_from_snapshots};
 pub use dsd::{decompose, emit_decomposed, Decomposition};
 pub use mch::{build_mch, build_mch_with_stats, build_mch_with_stats_shared, MchParams, MchStats};
-pub use npn_db::{NpnDatabase, NpnPlan, NpnPlanCache, SharedNpnCache};
+pub use npn_db::{NpnDatabase, NpnPlan, SharedNpnCache};
 pub use sop::{cover_implements, emit_factored, isop, literal_count, Cube};
 pub use strategies::{
-    import_subnetwork, synthesize, GateRecipe, RecipeRef, StrategyEntry, StrategyLibrary,
-    SynthesisStrategy,
+    import_subnetwork, synthesize, StrategyEntry, StrategyLibrary, SynthesisStrategy,
 };

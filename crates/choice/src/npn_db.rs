@@ -7,25 +7,22 @@
 //! database generalises that idea to every (strategy, representation) pair the
 //! MCH construction uses.
 //!
-//! # Plan/commit split
+//! # Plan and commit
 //!
-//! Emission is split into a read-only **plan** half and a mutating **commit**
-//! half so the parallel MCH construction can run the expensive part on worker
-//! threads:
+//! Emission has a read-only **plan** half and a mutating **commit** half:
 //!
-//! * [`NpnDatabase::plan`] canonicalises the function and synthesises the
-//!   class representative if neither the shared database (read through
-//!   `&self`) nor the worker-local [`NpnPlanCache`] has it — no shared state
-//!   is touched;
-//! * [`NpnDatabase::commit`] replays a plan into the target network on the
-//!   coordinating thread, merging worker-local misses into the shared cache.
-//!   Because plans are committed in node-id order and
-//!   [`synthesize`] is a pure function of the class key, the database
-//!   contents and its hit/miss statistics end up identical to a serial run,
-//!   whatever the thread count.
+//! * [`NpnDatabase::plan`] canonicalises the function and, when the database
+//!   does not hold the class yet, synthesises the class representative and
+//!   ships it with the plan;
+//! * [`NpnDatabase::commit`] stores a shipped class, counts the hit or miss
+//!   and replays the class structure into the target network.
 //!
-//! [`NpnDatabase::emit`] is the fused serial form: plan immediately followed
-//! by commit.
+//! The MCH construction commits every plan before it makes the next one, in
+//! node-id order, so the database contents and its hit/miss statistics are a
+//! function of the input network alone. The split lets the construction time
+//! the halves separately: [`MchStats`](crate::MchStats) counts planning as
+//! resynthesis time and commits as commit time. [`NpnDatabase::emit`] is plan
+//! immediately followed by commit.
 //!
 //! # Cross-job sharing
 //!
@@ -41,10 +38,9 @@
 //! hits and misses against its own cache in its own commit order, so per-job
 //! statistics are byte-identical to a solo run whatever else is in flight.
 
-use crate::strategies::{claim_subnetwork, import_subnetwork, synthesize, SynthesisStrategy};
+use crate::strategies::{import_subnetwork, synthesize, SynthesisStrategy};
 use mch_logic::{
-    npn_canonical, npn_semi_canonical, ClaimLog, Network, NetworkKind, NpnCanonical, ShardedStrash,
-    Signal, TruthTable,
+    npn_canonical, npn_semi_canonical, Network, NetworkKind, NpnCanonical, Signal, TruthTable,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -55,39 +51,10 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// plus the strategy and representation it was synthesised with.
 type ClassKey = (TruthTable, SynthesisStrategy, NetworkKind);
 
-/// Worker-local spill-over cache used while planning: classes that were
-/// missing from the shared [`NpnDatabase`] at plan time, synthesised on the
-/// worker and shipped with the plan for the coordinator to merge at commit.
-///
-/// One scratch cache per worker; it persists across planned nodes so a worker
-/// synthesises each class at most once even before the shared database has
-/// been warmed by a commit.
-#[derive(Clone, Debug, Default)]
-pub struct NpnPlanCache {
-    synthesized: HashMap<ClassKey, Network>,
-}
-
-impl NpnPlanCache {
-    /// Creates an empty plan cache.
-    pub fn new() -> Self {
-        NpnPlanCache::default()
-    }
-
-    /// Number of classes this worker synthesised locally.
-    pub fn len(&self) -> usize {
-        self.synthesized.len()
-    }
-
-    /// Returns `true` if no class has been synthesised locally.
-    pub fn is_empty(&self) -> bool {
-        self.synthesized.is_empty()
-    }
-}
-
 /// A planned candidate emission: canonicalisation done, class representative
 /// available, leaves already permuted and complemented per the NPN transform.
-/// Produced by [`NpnDatabase::plan`] on any thread; replayed into a network
-/// by [`NpnDatabase::commit`] on the coordinating thread.
+/// Produced by [`NpnDatabase::plan`]; replayed into a network by
+/// [`NpnDatabase::commit`].
 #[derive(Clone, Debug)]
 pub struct NpnPlan {
     kind: PlanKind,
@@ -105,31 +72,15 @@ enum PlanKind {
 #[derive(Clone, Debug)]
 struct PlanClass {
     key: ClassKey,
-    /// The synthesised class network when the planning thread had to build
-    /// it (first local encounter of a class the shared database did not
-    /// hold). `None` when either cache already had it; the commit
-    /// re-synthesises on demand in the (rare) case the shared database
-    /// still lacks the class — the result is identical either way because
-    /// [`synthesize`] is pure.
+    /// The synthesised class network when the planning database did not hold
+    /// the class. `None` when it did; a commit into a database that lacks
+    /// the class re-synthesises it — the result is identical either way
+    /// because [`synthesize`] is pure.
     synthesized: Option<Network>,
     /// `leaves[perm[i]] ^ neg_i` — the signal driving canonical input `i`.
     bound: Vec<Signal>,
     /// Whether the canonical output is complemented w.r.t. the function.
     output_neg: bool,
-}
-
-/// A plan whose structure has additionally been claimed against a
-/// [`ShardedStrash`] on a worker thread: the claim log plus the (possibly
-/// provisional) output signal, carried together with the plan so the
-/// coordinator can still do the cache bookkeeping.
-///
-/// Produced by [`NpnDatabase::claim`]; resolved into a network by
-/// [`NpnDatabase::commit_claim`].
-#[derive(Clone, Debug)]
-pub struct NpnClaim {
-    plan: NpnPlan,
-    log: ClaimLog,
-    out: Signal,
 }
 
 /// A process-wide, read-mostly store of synthesised class networks shared
@@ -277,8 +228,7 @@ impl NpnDatabase {
 
     /// Plans the emission of `function` over `leaves` without touching the
     /// database: canonicalise, then synthesise the class representative
-    /// unless the shared database (`&self`) or the worker-local `scratch`
-    /// already holds it.
+    /// unless the database already holds it.
     ///
     /// # Panics
     ///
@@ -289,7 +239,6 @@ impl NpnDatabase {
         leaves: &[Signal],
         kind: NetworkKind,
         strategy: SynthesisStrategy,
-        scratch: &mut NpnPlanCache,
     ) -> NpnPlan {
         assert_eq!(leaves.len(), function.num_vars(), "one leaf per variable");
         // Degenerate cases never go through the cache.
@@ -304,7 +253,7 @@ impl NpnDatabase {
             };
         }
         let canon = Self::canonicalize(function);
-        self.plan_with_canon(&canon, leaves, kind, strategy, scratch)
+        self.plan_with_canon(&canon, leaves, kind, strategy)
     }
 
     /// Like [`plan`](NpnDatabase::plan) but over a pre-computed canonical
@@ -321,20 +270,11 @@ impl NpnDatabase {
         leaves: &[Signal],
         kind: NetworkKind,
         strategy: SynthesisStrategy,
-        scratch: &mut NpnPlanCache,
     ) -> NpnPlan {
         let t = &canon.transform;
         assert_eq!(leaves.len(), t.perm.len(), "one leaf per variable");
         let key = (canon.representative.clone(), strategy, kind);
-        let synthesized = if self.cache.contains_key(&key)
-            || scratch.synthesized.contains_key(&key)
-        {
-            None
-        } else {
-            let net = self.synthesize_class(&key);
-            scratch.synthesized.insert(key.clone(), net.clone());
-            Some(net)
-        };
+        let synthesized = (!self.cache.contains_key(&key)).then(|| self.synthesize_class(&key));
         // canonical(y) = f(x) ^ out  with  y_i = x_{perm[i]} ^ neg_i, therefore
         // f(x) = canonical(y) ^ out when canonical input i is driven by
         // leaves[perm[i]] ^ neg_i.
@@ -351,13 +291,11 @@ impl NpnDatabase {
         }
     }
 
-    /// Replays a plan into `target`, merging a worker-synthesised class into
-    /// the shared cache when the database does not hold it yet, and returns
-    /// the candidate's output signal.
+    /// Replays a plan into `target` and returns the candidate's output
+    /// signal. A class the database does not hold yet is stored first: the
+    /// network the plan shipped, or a fresh synthesis if it shipped none.
     ///
-    /// Hit/miss statistics are counted here — in commit order — so a
-    /// parallel plan phase followed by id-ordered commits reports exactly
-    /// the numbers a serial run would.
+    /// Hit/miss statistics are counted here, in commit order.
     pub fn commit(&mut self, target: &mut Network, plan: NpnPlan) -> Signal {
         match plan.kind {
             PlanKind::Constant(sig) => sig,
@@ -385,66 +323,10 @@ impl NpnDatabase {
         }
     }
 
-    /// Claims a plan's structure against `table` on a worker thread, probing
-    /// and reserving strash buckets instead of mutating the target network.
-    ///
-    /// The class network is resolved read-only: from the plan itself (first
-    /// local encounter), else from the worker's `scratch`, else from the
-    /// shared database — by [`plan`](NpnDatabase::plan)'s contract one of the
-    /// three always holds it. No statistics are counted here; hit/miss
-    /// bookkeeping happens in [`commit_claim`](NpnDatabase::commit_claim), in
-    /// commit order, exactly as in the unclaimed path.
-    pub fn claim(&self, plan: NpnPlan, table: &ShardedStrash, scratch: &NpnPlanCache) -> NpnClaim {
-        let mut log = ClaimLog::new();
-        let out = match &plan.kind {
-            PlanKind::Constant(sig) => *sig,
-            PlanKind::Class(class) => {
-                let net = class
-                    .synthesized
-                    .as_ref()
-                    .or_else(|| scratch.synthesized.get(&class.key))
-                    .or_else(|| self.cache.get(&class.key))
-                    .expect("planned class present in plan, scratch or shared cache");
-                let raw = claim_subnetwork(table, net, &class.bound, &mut log);
-                raw.xor_complement(class.output_neg)
-            }
-        };
-        NpnClaim { plan, log, out }
-    }
-
-    /// The claim-side twin of [`commit`](NpnDatabase::commit): does the same
-    /// cache bookkeeping, then links the claim's reservations into `target`
-    /// and returns the resolved output signal.
-    ///
-    /// `target` must be inside the commit batch the claim was made against.
-    pub fn commit_claim(&mut self, target: &mut Network, claim: NpnClaim) -> Signal {
-        let NpnClaim { plan, log, out } = claim;
-        match plan.kind {
-            PlanKind::Constant(sig) => sig,
-            PlanKind::Class(class) => {
-                let PlanClass {
-                    key, synthesized, ..
-                } = *class;
-                if !self.cache.contains_key(&key) {
-                    let net = match synthesized {
-                        Some(net) => net,
-                        None => self.synthesize_class(&key),
-                    };
-                    self.cache.insert(key, net);
-                    self.misses += 1;
-                } else {
-                    self.hits += 1;
-                }
-                target.link_claims(&log);
-                target.resolve_claim(out)
-            }
-        }
-    }
-
     /// Emits a candidate structure computing `function` over `leaves` into
     /// `target`, synthesising the function's NPN class representative on first
-    /// use and replaying it afterwards — the fused serial form of
-    /// [`plan`](NpnDatabase::plan) + [`commit`](NpnDatabase::commit).
+    /// use and replaying it afterwards: [`plan`](NpnDatabase::plan) followed
+    /// by [`commit`](NpnDatabase::commit).
     ///
     /// Returns the candidate's output signal in `target`.
     ///
@@ -459,8 +341,7 @@ impl NpnDatabase {
         kind: NetworkKind,
         strategy: SynthesisStrategy,
     ) -> Signal {
-        let mut scratch = NpnPlanCache::new();
-        let plan = self.plan(function, leaves, kind, strategy, &mut scratch);
+        let plan = self.plan(function, leaves, kind, strategy);
         self.commit(target, plan)
     }
 }
@@ -582,129 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_fused_emission_build_identical_networks() {
-        // Plan everything up front against a cold shared database (the
-        // threaded schedule), commit in order, and compare against the fused
-        // serial emit sequence: networks, signals and hit/miss statistics
-        // must be identical.
-        let a = TruthTable::var(3, 0);
-        let b = TruthTable::var(3, 1);
-        let c = TruthTable::var(3, 2);
-        let funcs = [
-            a.and(&b).or(&c),
-            a.xor(&b).and(&c),
-            a.and(&b).or(&c), // repeat: second encounter must be a hit
-            TruthTable::maj(&a, &b, &c).not(),
-        ];
-
-        let mut serial_db = NpnDatabase::new();
-        let mut serial_host = Network::new(NetworkKind::Mixed);
-        let leaves = serial_host.add_inputs(3);
-        let serial_sigs: Vec<Signal> = funcs
-            .iter()
-            .map(|f| {
-                serial_db.emit(
-                    &mut serial_host,
-                    f,
-                    &leaves,
-                    NetworkKind::Xag,
-                    SynthesisStrategy::Decompose,
-                )
-            })
-            .collect();
-
-        let mut planned_db = NpnDatabase::new();
-        let mut planned_host = Network::new(NetworkKind::Mixed);
-        let leaves2 = planned_host.add_inputs(3);
-        // Two independent "workers" with their own scratch caches, planning
-        // interleaved halves — both synthesise the repeated class locally.
-        let mut scratch_a = NpnPlanCache::new();
-        let mut scratch_b = NpnPlanCache::new();
-        let plans: Vec<NpnPlan> = funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let scratch = if i % 2 == 0 { &mut scratch_a } else { &mut scratch_b };
-                planned_db.plan(f, &leaves2, NetworkKind::Xag, SynthesisStrategy::Decompose, scratch)
-            })
-            .collect();
-        let planned_sigs: Vec<Signal> = plans
-            .into_iter()
-            .map(|p| planned_db.commit(&mut planned_host, p))
-            .collect();
-
-        assert_eq!(serial_sigs, planned_sigs);
-        assert_eq!(serial_host, planned_host);
-        assert_eq!(serial_db.hits(), planned_db.hits());
-        assert_eq!(serial_db.misses(), planned_db.misses());
-        assert_eq!(serial_db.len(), planned_db.len());
-        assert!(!scratch_a.is_empty() || !scratch_b.is_empty());
-    }
-
-    #[test]
-    fn claimed_and_fused_emission_build_identical_networks() {
-        // plan → claim (worker) → commit_claim (coordinator) against a
-        // batched host must match the fused serial emit byte for byte:
-        // networks, signals, statistics.
-        let a = TruthTable::var(3, 0);
-        let b = TruthTable::var(3, 1);
-        let c = TruthTable::var(3, 2);
-        let funcs = [
-            a.and(&b).or(&c),
-            a.xor(&b).and(&c),
-            a.and(&b).or(&c), // repeat: hit, and a pure strash replay
-            TruthTable::maj(&a, &b, &c).not(),
-            TruthTable::zeros(3), // constant: bypasses cache and strash
-        ];
-
-        let mut serial_db = NpnDatabase::new();
-        let mut serial_host = Network::new(NetworkKind::Mixed);
-        let leaves = serial_host.add_inputs(3);
-        let serial_sigs: Vec<Signal> = funcs
-            .iter()
-            .map(|f| {
-                serial_db.emit(
-                    &mut serial_host,
-                    f,
-                    &leaves,
-                    NetworkKind::Xag,
-                    SynthesisStrategy::Decompose,
-                )
-            })
-            .collect();
-
-        let mut claimed_db = NpnDatabase::new();
-        let mut claimed_host = Network::new(NetworkKind::Mixed);
-        let leaves2 = claimed_host.add_inputs(3);
-        let table = claimed_host.begin_commit_batch();
-        let mut scratch = NpnPlanCache::new();
-        let claims: Vec<NpnClaim> = funcs
-            .iter()
-            .map(|f| {
-                let plan = claimed_db.plan(
-                    f,
-                    &leaves2,
-                    NetworkKind::Xag,
-                    SynthesisStrategy::Decompose,
-                    &mut scratch,
-                );
-                claimed_db.claim(plan, &table, &scratch)
-            })
-            .collect();
-        let claimed_sigs: Vec<Signal> = claims
-            .into_iter()
-            .map(|cl| claimed_db.commit_claim(&mut claimed_host, cl))
-            .collect();
-        claimed_host.end_commit_batch();
-
-        assert_eq!(serial_sigs, claimed_sigs);
-        assert_eq!(serial_host, claimed_host);
-        assert_eq!(serial_db.hits(), claimed_db.hits());
-        assert_eq!(serial_db.misses(), claimed_db.misses());
-        assert_eq!(serial_db.len(), claimed_db.len());
-    }
-
-    #[test]
     fn shared_cache_changes_neither_networks_nor_local_statistics() {
         // Two "jobs" over the same functions: a private database versus two
         // databases behind one shared store (the second warmed by the first).
@@ -746,22 +504,25 @@ mod tests {
 
     #[test]
     fn commit_resynthesises_when_a_plan_ships_no_network() {
-        // A plan whose class came from the worker-local scratch ships no
-        // network; committing it against a database that never saw the class
+        // A plan made against a database that already holds its class ships
+        // no network; committing it into a database that never saw the class
         // must fall back to a fresh synthesis and still be correct.
         let a = TruthTable::var(2, 0);
         let b = TruthTable::var(2, 1);
         let f = a.and(&b);
-        let db_for_planning = NpnDatabase::new();
-        let mut scratch = NpnPlanCache::new();
+        let mut warm = NpnDatabase::new();
+        let mut warm_host = Network::new(NetworkKind::Mixed);
+        let warm_xs = warm_host.add_inputs(2);
+        let _ = warm.emit(&mut warm_host, &f, &warm_xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
         let mut host = Network::new(NetworkKind::Mixed);
         let xs = host.add_inputs(2);
-        // First plan populates the scratch; second plan ships None.
-        let _first = db_for_planning.plan(&f, &xs, NetworkKind::Aig, SynthesisStrategy::Decompose, &mut scratch);
-        let second = db_for_planning.plan(&f, &xs, NetworkKind::Aig, SynthesisStrategy::Decompose, &mut scratch);
-        // Commit `second` into a *fresh* database: the class is nowhere.
+        let plan = warm.plan(&f, &xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
+        match &plan.kind {
+            PlanKind::Class(class) => assert!(class.synthesized.is_none()),
+            PlanKind::Constant(_) => panic!("a non-constant function planned as a constant"),
+        }
         let mut fresh = NpnDatabase::new();
-        let out = fresh.commit(&mut host, second);
+        let out = fresh.commit(&mut host, plan);
         host.add_output(out);
         assert_eq!(output_truth_tables(&host)[0], f);
         assert_eq!(fresh.misses(), 1);

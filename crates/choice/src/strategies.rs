@@ -8,7 +8,7 @@
 
 use crate::dsd::emit_decomposed;
 use crate::sop::{emit_factored, isop};
-use mch_logic::{ClaimLog, GateKind, Network, NetworkKind, ShardedStrash, Signal, TruthTable};
+use mch_logic::{GateKind, Network, NetworkKind, Signal, TruthTable};
 
 /// How a candidate function is re-synthesised.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -100,277 +100,6 @@ pub fn synthesize(
     net
 }
 
-/// Reference to a value inside a [`GateRecipe`]: the constant-false rail, a
-/// leaf slot, or the result of an earlier recipe op — plus a complement flag.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct RecipeRef {
-    slot: RecipeSlot,
-    complement: bool,
-}
-
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum RecipeSlot {
-    Const0,
-    Leaf(u16),
-    Op(u16),
-}
-
-impl RecipeRef {
-    /// The constant-false reference.
-    pub const CONST0: RecipeRef = RecipeRef {
-        slot: RecipeSlot::Const0,
-        complement: false,
-    };
-
-    /// The constant-true reference.
-    pub const CONST1: RecipeRef = RecipeRef {
-        slot: RecipeSlot::Const0,
-        complement: true,
-    };
-
-    /// A reference to leaf slot `i`.
-    pub fn leaf(i: usize) -> RecipeRef {
-        RecipeRef {
-            slot: RecipeSlot::Leaf(i as u16),
-            complement: false,
-        }
-    }
-}
-
-impl std::ops::Not for RecipeRef {
-    type Output = RecipeRef;
-    fn not(self) -> RecipeRef {
-        RecipeRef {
-            slot: self.slot,
-            complement: !self.complement,
-        }
-    }
-}
-
-/// A detached candidate subnetwork: a straight-line program of primitive gate
-/// *calls* over numbered leaf slots.
-///
-/// A recipe records the exact sequence of [`Network::and2`] /
-/// [`Network::xor2`] / [`Network::maj3`] calls some construction would make —
-/// not the folded structure those calls produce — so
-/// [`commit`](GateRecipe::commit) replaying it against a real network
-/// performs the *same* primitive calls with the same (resolved) arguments
-/// and therefore triggers the same constant folds and structural-hash hits
-/// the direct construction would. That makes recipes safe to build on worker
-/// threads detached from any network: the plan is pure, all shared-state
-/// effects happen at commit, and committing recipes in a fixed order
-/// reproduces the serial construction byte for byte.
-///
-/// The MCH construction uses [`GateRecipe::styled`] for the one-to-one phase
-/// of Algorithm 1: one template per (representation, gate kind), committed
-/// per original gate over its mapped fanins.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GateRecipe {
-    arity: usize,
-    ops: Vec<(GateKind, [RecipeRef; 3])>,
-    out: RecipeRef,
-}
-
-impl GateRecipe {
-    /// The template that re-emits one `gate` of the original network in the
-    /// style of representation `kind` using only raw primitives, exactly as
-    /// the MCH one-to-one mapping does (the target network is mixed, so
-    /// every primitive is allowed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gate` is not a logic gate (`And2`, `Xor2` or `Maj3`).
-    pub fn styled(kind: NetworkKind, gate: GateKind) -> GateRecipe {
-        let mut b = RecipeBuilder::default();
-        let l0 = RecipeRef::leaf(0);
-        let l1 = RecipeRef::leaf(1);
-        let out = match gate {
-            GateKind::And2 => b.s_and(kind, l0, l1),
-            GateKind::Xor2 => b.s_xor(kind, l0, l1),
-            GateKind::Maj3 => b.s_maj(kind, l0, l1, RecipeRef::leaf(2)),
-            _ => panic!("styled recipes exist only for logic gates"),
-        };
-        GateRecipe {
-            arity: gate.arity(),
-            ops: b.ops,
-            out,
-        }
-    }
-
-    /// Number of leaf slots the recipe reads.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Number of recorded primitive calls.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Replays the recorded call sequence into `target`, binding leaf slot
-    /// `i` to `leaves[i]`, and returns the recipe's output signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves.len()` differs from [`arity`](GateRecipe::arity).
-    pub fn commit(&self, target: &mut Network, leaves: &[Signal]) -> Signal {
-        assert_eq!(leaves.len(), self.arity, "one signal per leaf slot");
-        let mut emitted: Vec<Signal> = Vec::with_capacity(self.ops.len());
-        for &(kind, refs) in &self.ops {
-            let sig = match kind {
-                GateKind::And2 => {
-                    let (a, b) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                    );
-                    target.and2(a, b)
-                }
-                GateKind::Xor2 => {
-                    let (a, b) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                    );
-                    target.xor2(a, b)
-                }
-                GateKind::Maj3 => {
-                    let (a, b, c) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                        resolve(refs[2], leaves, &emitted),
-                    );
-                    target.maj3(a, b, c)
-                }
-                _ => unreachable!("recipes record only logic-gate calls"),
-            };
-            emitted.push(sig);
-        }
-        resolve(self.out, leaves, &emitted)
-    }
-
-    /// The claim-side twin of [`commit`](GateRecipe::commit): replays the
-    /// recorded call sequence against a [`ShardedStrash`] instead of a
-    /// network, for worker threads participating in a commit batch.
-    ///
-    /// The returned signal may be provisional; together with `log` it is
-    /// resolved by the coordinator through `Network::link_claims` /
-    /// `Network::resolve_claim`. Because the claim builders apply the same
-    /// folds as the network builders, linking in serial order reproduces
-    /// [`commit`](GateRecipe::commit)'s effect byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves.len()` differs from [`arity`](GateRecipe::arity).
-    pub fn claim(&self, table: &ShardedStrash, leaves: &[Signal], log: &mut ClaimLog) -> Signal {
-        assert_eq!(leaves.len(), self.arity, "one signal per leaf slot");
-        let mut emitted: Vec<Signal> = Vec::with_capacity(self.ops.len());
-        for &(kind, refs) in &self.ops {
-            let sig = match kind {
-                GateKind::And2 => {
-                    let (a, b) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                    );
-                    table.claim_and2(a, b, log)
-                }
-                GateKind::Xor2 => {
-                    let (a, b) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                    );
-                    table.claim_xor2(a, b, log)
-                }
-                GateKind::Maj3 => {
-                    let (a, b, c) = (
-                        resolve(refs[0], leaves, &emitted),
-                        resolve(refs[1], leaves, &emitted),
-                        resolve(refs[2], leaves, &emitted),
-                    );
-                    table.claim_maj3(a, b, c, log)
-                }
-                _ => unreachable!("recipes record only logic-gate calls"),
-            };
-            emitted.push(sig);
-        }
-        resolve(self.out, leaves, &emitted)
-    }
-}
-
-fn resolve(r: RecipeRef, leaves: &[Signal], emitted: &[Signal]) -> Signal {
-    let base = match r.slot {
-        RecipeSlot::Const0 => Signal::CONST0,
-        RecipeSlot::Leaf(i) => leaves[i as usize],
-        RecipeSlot::Op(i) => emitted[i as usize],
-    };
-    base.xor_complement(r.complement)
-}
-
-/// Records primitive calls as recipe ops; mirrors the styled-emission helper
-/// functions of the one-to-one mapping one call per op, with no folding —
-/// folding happens when the recipe is committed against a real network.
-#[derive(Default)]
-struct RecipeBuilder {
-    ops: Vec<(GateKind, [RecipeRef; 3])>,
-}
-
-impl RecipeBuilder {
-    fn push(&mut self, kind: GateKind, fanins: [RecipeRef; 3]) -> RecipeRef {
-        self.ops.push((kind, fanins));
-        RecipeRef {
-            slot: RecipeSlot::Op((self.ops.len() - 1) as u16),
-            complement: false,
-        }
-    }
-
-    fn and2(&mut self, a: RecipeRef, b: RecipeRef) -> RecipeRef {
-        self.push(GateKind::And2, [a, b, RecipeRef::CONST0])
-    }
-
-    fn xor2(&mut self, a: RecipeRef, b: RecipeRef) -> RecipeRef {
-        self.push(GateKind::Xor2, [a, b, RecipeRef::CONST0])
-    }
-
-    fn maj3(&mut self, a: RecipeRef, b: RecipeRef, c: RecipeRef) -> RecipeRef {
-        self.push(GateKind::Maj3, [a, b, c])
-    }
-
-    fn s_and(&mut self, kind: NetworkKind, a: RecipeRef, b: RecipeRef) -> RecipeRef {
-        match kind {
-            NetworkKind::Mig | NetworkKind::Xmg => self.maj3(a, b, RecipeRef::CONST0),
-            _ => self.and2(a, b),
-        }
-    }
-
-    fn s_or(&mut self, kind: NetworkKind, a: RecipeRef, b: RecipeRef) -> RecipeRef {
-        match kind {
-            NetworkKind::Mig | NetworkKind::Xmg => self.maj3(a, b, RecipeRef::CONST1),
-            _ => !self.and2(!a, !b),
-        }
-    }
-
-    fn s_xor(&mut self, kind: NetworkKind, a: RecipeRef, b: RecipeRef) -> RecipeRef {
-        match kind {
-            NetworkKind::Xag | NetworkKind::Xmg | NetworkKind::Mixed => self.xor2(a, b),
-            _ => {
-                let t = self.s_and(kind, a, !b);
-                let e = self.s_and(kind, !a, b);
-                self.s_or(kind, t, e)
-            }
-        }
-    }
-
-    fn s_maj(&mut self, kind: NetworkKind, a: RecipeRef, b: RecipeRef, c: RecipeRef) -> RecipeRef {
-        match kind {
-            NetworkKind::Mig | NetworkKind::Xmg | NetworkKind::Mixed => self.maj3(a, b, c),
-            _ => {
-                let ab = self.s_and(kind, a, b);
-                let aob = self.s_or(kind, a, b);
-                let cc = self.s_and(kind, c, aob);
-                self.s_or(kind, ab, cc)
-            }
-        }
-    }
-}
-
 /// Copies a single-output sub-network into `target`, binding sub-network
 /// input `i` to `leaves[i]`, and returns the signal of the sub-network's
 /// output inside `target`.
@@ -405,52 +134,6 @@ pub fn import_subnetwork(target: &mut Network, sub: &Network, leaves: &[Signal])
             GateKind::And2 => target.and2(f[0], f[1]),
             GateKind::Xor2 => target.xor2(f[0], f[1]),
             GateKind::Maj3 => target.maj3(f[0], f[1], f[2]),
-            _ => unreachable!("gate_ids yields only gates"),
-        };
-    }
-    let out = sub.output(0);
-    map[out.node().index()].xor_complement(out.is_complement())
-}
-
-/// The claim-side twin of [`import_subnetwork`]: replays the copy against a
-/// [`ShardedStrash`] so worker threads can probe and reserve nodes without
-/// touching the target network.
-///
-/// The returned signal may be provisional; the coordinator resolves it (and
-/// materialises any reserved nodes) by linking `log` through
-/// `Network::link_claims` in serial order.
-///
-/// # Panics
-///
-/// Panics if `sub` does not have exactly one output or if the number of
-/// leaves differs from its input count.
-pub fn claim_subnetwork(
-    table: &ShardedStrash,
-    sub: &Network,
-    leaves: &[Signal],
-    log: &mut ClaimLog,
-) -> Signal {
-    assert_eq!(sub.output_count(), 1, "candidate sub-networks have one output");
-    assert_eq!(
-        leaves.len(),
-        sub.input_count(),
-        "one leaf signal per sub-network input required"
-    );
-    let mut map: Vec<Signal> = vec![Signal::CONST0; sub.len()];
-    for (i, &pi) in sub.inputs().iter().enumerate() {
-        map[pi.index()] = leaves[i];
-    }
-    for id in sub.gate_ids() {
-        let node = sub.node(id);
-        let f: Vec<Signal> = node
-            .fanins()
-            .iter()
-            .map(|s| map[s.node().index()].xor_complement(s.is_complement()))
-            .collect();
-        map[id.index()] = match node.kind() {
-            GateKind::And2 => table.claim_and2(f[0], f[1], log),
-            GateKind::Xor2 => table.claim_xor2(f[0], f[1], log),
-            GateKind::Maj3 => table.claim_maj3(f[0], f[1], f[2], log),
             _ => unreachable!("gate_ids yields only gates"),
         };
     }
@@ -517,188 +200,6 @@ mod tests {
             x3.not().and(&x2).or(&x1.xor(&x0))
         };
         assert_eq!(output_truth_tables(&host)[0], expected);
-    }
-
-    /// The original direct styled-emission helper of the one-to-one mapping,
-    /// kept verbatim as the reference semantics for
-    /// [`GateRecipe::styled`]/[`GateRecipe::commit`].
-    fn emit_styled_reference(
-        net: &mut Network,
-        kind: NetworkKind,
-        gate: GateKind,
-        fanins: &[Signal],
-    ) -> Signal {
-        fn s_and(net: &mut Network, kind: NetworkKind, a: Signal, b: Signal) -> Signal {
-            match kind {
-                NetworkKind::Mig | NetworkKind::Xmg => net.maj3(a, b, Signal::CONST0),
-                _ => net.and2(a, b),
-            }
-        }
-        fn s_or(net: &mut Network, kind: NetworkKind, a: Signal, b: Signal) -> Signal {
-            match kind {
-                NetworkKind::Mig | NetworkKind::Xmg => net.maj3(a, b, Signal::CONST1),
-                _ => !net.and2(!a, !b),
-            }
-        }
-        fn s_xor(net: &mut Network, kind: NetworkKind, a: Signal, b: Signal) -> Signal {
-            match kind {
-                NetworkKind::Xag | NetworkKind::Xmg | NetworkKind::Mixed => net.xor2(a, b),
-                _ => {
-                    let t = s_and(net, kind, a, !b);
-                    let e = s_and(net, kind, !a, b);
-                    s_or(net, kind, t, e)
-                }
-            }
-        }
-        fn s_maj(net: &mut Network, kind: NetworkKind, a: Signal, b: Signal, c: Signal) -> Signal {
-            match kind {
-                NetworkKind::Mig | NetworkKind::Xmg | NetworkKind::Mixed => net.maj3(a, b, c),
-                _ => {
-                    let ab = s_and(net, kind, a, b);
-                    let aob = s_or(net, kind, a, b);
-                    let cc = s_and(net, kind, c, aob);
-                    s_or(net, kind, ab, cc)
-                }
-            }
-        }
-        match gate {
-            GateKind::And2 => s_and(net, kind, fanins[0], fanins[1]),
-            GateKind::Xor2 => s_xor(net, kind, fanins[0], fanins[1]),
-            GateKind::Maj3 => s_maj(net, kind, fanins[0], fanins[1], fanins[2]),
-            _ => unreachable!("only gates are emitted"),
-        }
-    }
-
-    #[test]
-    fn styled_recipes_replay_the_direct_emission_exactly() {
-        // Every (representation, gate) template, committed over ordinary,
-        // complemented, duplicated and constant bindings, must evolve the
-        // target network and return the output signal exactly as the direct
-        // call sequence does — including the folds and strash hits the
-        // bindings trigger.
-        let kinds = [
-            NetworkKind::Aig,
-            NetworkKind::Xag,
-            NetworkKind::Mig,
-            NetworkKind::Xmg,
-            NetworkKind::Mixed,
-        ];
-        for kind in kinds {
-            for gate in [GateKind::And2, GateKind::Xor2, GateKind::Maj3] {
-                let template = GateRecipe::styled(kind, gate);
-                assert_eq!(template.arity(), gate.arity());
-                let host = {
-                    let mut h = Network::new(NetworkKind::Mixed);
-                    h.add_inputs(3);
-                    h
-                };
-                let xs: Vec<Signal> = host.inputs().iter().map(|n| n.signal()).collect();
-                let bindings: Vec<Vec<Signal>> = vec![
-                    vec![xs[0], xs[1], xs[2]],
-                    vec![!xs[0], xs[1], !xs[2]],
-                    vec![xs[0], xs[0], xs[1]],
-                    vec![xs[0], !xs[0], xs[1]],
-                    vec![Signal::CONST0, xs[1], xs[2]],
-                    vec![Signal::CONST1, !xs[1], xs[0]],
-                ];
-                for binding in &bindings {
-                    let fanins = &binding[..gate.arity()];
-                    let mut direct = host.clone();
-                    let mut replayed = host.clone();
-                    let want = emit_styled_reference(&mut direct, kind, gate, fanins);
-                    let got = template.commit(&mut replayed, fanins);
-                    assert_eq!(want, got, "{kind:?} {gate:?} signal diverged");
-                    assert_eq!(direct, replayed, "{kind:?} {gate:?} network diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn claimed_recipes_link_to_the_committed_emission() {
-        // claim + link must reproduce commit byte for byte: same output
-        // signal, same nodes, same strash — for every template and binding,
-        // including the fold- and dedup-triggering ones.
-        let kinds = [
-            NetworkKind::Aig,
-            NetworkKind::Xag,
-            NetworkKind::Mig,
-            NetworkKind::Xmg,
-            NetworkKind::Mixed,
-        ];
-        for kind in kinds {
-            for gate in [GateKind::And2, GateKind::Xor2, GateKind::Maj3] {
-                let template = GateRecipe::styled(kind, gate);
-                let host = {
-                    let mut h = Network::new(NetworkKind::Mixed);
-                    h.add_inputs(3);
-                    h
-                };
-                let xs: Vec<Signal> = host.inputs().iter().map(|n| n.signal()).collect();
-                let bindings: Vec<Vec<Signal>> = vec![
-                    vec![xs[0], xs[1], xs[2]],
-                    vec![!xs[0], xs[1], !xs[2]],
-                    vec![xs[0], xs[0], xs[1]],
-                    vec![xs[0], !xs[0], xs[1]],
-                    vec![Signal::CONST0, xs[1], xs[2]],
-                    vec![Signal::CONST1, !xs[1], xs[0]],
-                ];
-                for binding in &bindings {
-                    let fanins = &binding[..gate.arity()];
-                    let mut direct = host.clone();
-                    let mut linked = host.clone();
-                    let want = template.commit(&mut direct, fanins);
-
-                    let table = linked.begin_commit_batch();
-                    let mut log = ClaimLog::new();
-                    let out = template.claim(&table, fanins, &mut log);
-                    linked.link_claims(&log);
-                    let got = linked.resolve_claim(out);
-                    linked.end_commit_batch();
-
-                    assert_eq!(want, got, "{kind:?} {gate:?} signal diverged");
-                    assert_eq!(direct, linked, "{kind:?} {gate:?} network diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn claimed_subnetworks_link_to_the_imported_emission() {
-        let f = sample_function();
-        let sub = synthesize(&f, NetworkKind::Xmg, SynthesisStrategy::Decompose);
-
-        let host = {
-            let mut h = Network::new(NetworkKind::Mixed);
-            h.add_inputs(4);
-            h
-        };
-        let xs: Vec<Signal> = host.inputs().iter().map(|n| n.signal()).collect();
-        let leaves = vec![!xs[3], xs[2], xs[1], xs[0]];
-
-        let mut direct = host.clone();
-        let want = import_subnetwork(&mut direct, &sub, &leaves);
-        // A second import is a pure strash replay and must not grow the net.
-        let want_again = import_subnetwork(&mut direct, &sub, &leaves);
-        assert_eq!(want, want_again);
-
-        let mut linked = host.clone();
-        let table = linked.begin_commit_batch();
-        let mut log = ClaimLog::new();
-        let out = claim_subnetwork(&table, &sub, &leaves, &mut log);
-        linked.link_claims(&log);
-        let got = linked.resolve_claim(out);
-        // Second claim: every probe hits the just-linked reservations, so the
-        // resolved signal matches and linking its log is a no-op.
-        let mut log2 = ClaimLog::new();
-        let out2 = claim_subnetwork(&table, &sub, &leaves, &mut log2);
-        linked.link_claims(&log2);
-        let got2 = linked.resolve_claim(out2);
-        linked.end_commit_batch();
-
-        assert_eq!(want, got, "claimed sub-network output diverged");
-        assert_eq!(got, got2, "repeated claim resolved differently");
-        assert_eq!(direct, linked, "claimed sub-network host diverged");
     }
 
     #[test]

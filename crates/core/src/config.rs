@@ -43,12 +43,11 @@ pub struct MchConfig {
     /// area-flow rounds. Off in every preset: it changes covers, and the
     /// preset quality numbers are pinned.
     pub exact_area: bool,
-    /// Worker threads used throughout the flow: choice construction
-    /// (cut enumeration plus recipe planning, see [`MchParams::threads`]),
-    /// snapshot graph-mapping, and the mapper's level-parallel cut
-    /// enumeration and choice transfer (see
-    /// [`mch_cut::enumerate_cuts_threaded`]). `1` runs fully serial; every
-    /// value produces identical mapping results. The presets default to
+    /// Worker threads used throughout the flow: the cut enumeration inside
+    /// choice construction (see [`MchParams::threads`]), snapshot
+    /// graph-mapping, and the mapper's level-parallel cut enumeration and
+    /// choice transfer (see [`mch_cut::enumerate_cuts_threaded`]). `1` runs
+    /// fully serial; every value produces identical mapping results. The presets default to
     /// [`mch_cut::default_threads`] (the host's core count, overridable
     /// through the `MCH_THREADS` environment variable). This field is
     /// authoritative: flows copy it over [`MchParams::threads`] before
@@ -116,8 +115,9 @@ impl MchConfig {
     }
 
     /// Returns the same configuration with an explicit worker-thread count
-    /// for choice construction, snapshot graph-mapping and the mapper's
-    /// level-parallel cut enumeration and choice transfer.
+    /// for the cut enumeration inside choice construction, snapshot
+    /// graph-mapping and the mapper's level-parallel cut enumeration and
+    /// choice transfer.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self.mch.threads = self.threads;

@@ -18,9 +18,9 @@
 //! order, in-flight cap or machine load (`tests/service_determinism.rs`).
 //! Two mechanisms make that structural rather than asserted:
 //!
-//! * all within-job ordering is unchanged — each job runs the exact
-//!   plan/claim/commit pipeline of a solo flow, committing in its own
-//!   per-job commit order; cross-job interaction happens only through work
+//! * all within-job ordering is unchanged — each job runs the exact phases
+//!   of a solo flow, building its choice network in one serial pass in
+//!   node-id order; cross-job interaction happens only through work
 //!   stealing, which never reorders a job's own commits;
 //! * the jobs share one service-wide [`SharedNpnCache`], but it is a pure
 //!   value cache: `synthesize` is a pure function of the NPN class key, so a

@@ -10,9 +10,9 @@
 //!    [`WorkerPool`] — plain [`std::thread`] workers fed through a shared
 //!    injector queue, no external dependencies — so repeated enumeration
 //!    calls (and the other phases that reuse the pool: choice transfer in
-//!    `mch_mapper`, choice-recipe planning in `mch_choice`, snapshot
-//!    graph-mapping in `mch_core`) pay the thread-spawn cost once per
-//!    process instead of once per call;
+//!    `mch_mapper`, snapshot graph-mapping and the batched mapping service
+//!    in `mch_core`) pay the thread-spawn cost once per process instead of
+//!    once per call;
 //! 3. each worker runs the same per-node kernel as the serial driver
 //!    (`enumerate_node`) over contiguous, id-ordered shards pulled from a
 //!    per-call task queue, with its own `ProtoCut`/`LeafBuf` scratch, reading
@@ -509,9 +509,8 @@ impl Drop for CloseOnDrop<'_> {
 /// Runs `work` over every item of every level, levels strictly in order,
 /// items of one level sharded across `threads` worker loops scheduled on the
 /// process-wide [`WorkerPool`] — the level-synchronized harness behind
-/// [`enumerate_cuts_threaded`], the choice transfer in `mch_mapper` and the
-/// choice-recipe planning in `mch_choice`. A single flat batch is simply one
-/// level (`&[items]`).
+/// [`enumerate_cuts_threaded`] and the choice transfer in `mch_mapper`. A
+/// single flat batch is simply one level (`&[items]`).
 ///
 /// * `init` builds one per-worker scratch value (called once per worker loop,
 ///   plus once on the coordinator for inline levels);

@@ -45,7 +45,6 @@ mod rng;
 mod signal;
 mod simulate;
 mod stats;
-mod strash;
 mod traversal;
 mod truth;
 
@@ -56,7 +55,6 @@ pub use network::Network;
 pub use npn::{npn_apply_inverse, npn_canonical, npn_semi_canonical, NpnCanonical, NpnTransform};
 pub use rng::Prng;
 pub use signal::{NodeId, Signal};
-pub use strash::{ClaimLog, ShardedStrash, StrashKey};
 pub use simulate::{
     cec, equivalent_exhaustive, equivalent_random, output_truth_tables, simulate, simulate_nodes, Equivalence,
 };

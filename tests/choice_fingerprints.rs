@@ -16,10 +16,18 @@
 //! and `delay_oriented` also make a few calls on 5 inputs (the largest
 //! exact search) and on 6 (the semi-canonical path); `area_oriented` makes
 //! none on these circuits, although it admits MFFCs of up to 8 inputs.
+//!
+//! The one-to-one mapping re-emits every gate in the style of each
+//! secondary representation. `delay_oriented` pins the XAG style and
+//! `lut_area` / `area_oriented` the XMG style; the `MIG+AIG mixed` case
+//! pins the MIG style (AND and OR as majorities, XOR expanded) and the AIG
+//! style (XOR and MAJ expanded into AND trees).
 
 use mch::benchmarks::benchmark;
 use mch::choice::build_mch_with_stats;
+use mch::choice::MchParams;
 use mch::core::MchConfig;
+use mch::logic::NetworkKind;
 use mch::opt::graph_map;
 
 /// One pinned case: `(circuit, build fingerprint, choice count, NPN classes,
@@ -81,6 +89,16 @@ fn area_oriented_fingerprints_are_pinned() {
     check(MchConfig::area_oriented(), AREA_ORIENTED);
 }
 
+#[test]
+fn mig_aig_mixed_fingerprints_are_pinned() {
+    let config = MchConfig {
+        name: "MIG+AIG mixed".into(),
+        mch: MchParams::mixed(&[NetworkKind::Mig, NetworkKind::Aig]),
+        ..MchConfig::balanced()
+    };
+    check(config, MIG_AIG_MIXED);
+}
+
 const LUT_AREA: &[Pin] = &[
     ("ctrl", 0x479c998c3b31ed88, 302, 40, 216, &[0x7be331ce933fc003, 0x4026e3f572a1b01a]),
     ("int2float", 0x6ff20e7933607655, 593, 30, 419, &[0x656b60a70b85298c, 0xd17a9eb214a29470]),
@@ -106,4 +124,13 @@ const AREA_ORIENTED: &[Pin] = &[
     ("router", 0x1b4352b8353d56bc, 418, 53, 320, &[0x99343276064ed769, 0x3008c38d9a28c7a2]),
     ("max", 0x79fff9fa849d3f44, 1444, 29, 1113, &[0xdd1786589c5deaff, 0xaab3465a19e928c4]),
     ("i2c", 0x87e3a20ee2dc370c, 2136, 78, 2024, &[0x4f6980f755a80c26, 0x0e22e4f42daee2b1]),
+];
+
+const MIG_AIG_MIXED: &[Pin] = &[
+    ("ctrl", 0xb6f27a0be81ac045, 309, 63, 277, &[0x912cd1b44e2a1c50, 0xd891a514b031e5e2, 0x912cd1b44e2a1c50]),
+    ("int2float", 0x1eade09beb23d9b0, 614, 41, 522, &[0xc0127dd5ba1af38e, 0xaa79efe91ca0087d, 0xc0127dd5ba1af38e]),
+    ("cavlc", 0xd71cc03eca79e664, 1003, 74, 924, &[0xff157874cc5a22d1, 0x4a06ba8710dab40e, 0xff157874cc5a22d1]),
+    ("router", 0xf0194872dcacecb3, 419, 58, 328, &[0x59261693ca5bb9d1, 0x6df4f8db672fd939, 0x59261693ca5bb9d1]),
+    ("max", 0xeb024a37c5ab03e0, 1444, 34, 1216, &[0x5e52f380f1a0a0df, 0x3f7fada4404c1fa4, 0x5e52f380f1a0a0df]),
+    ("i2c", 0xaabf005846cc3c83, 2139, 95, 2059, &[0xdc91a541fe06c400, 0x766ed4ae6eb81265, 0xdc91a541fe06c400]),
 ];

@@ -67,11 +67,12 @@ fn degraded_asic_flow_is_identical_at_every_thread_count() {
 #[test]
 fn degraded_parallel_commit_is_identical_at_every_thread_count() {
     // A *partially* breaching budget over a circuit large enough for the
-    // batched commit path: the candidate cap halves (a pure pre-flow config
-    // transform) but resynthesis and snapshot mixing stay on, so the
-    // degraded build still drives the sharded concurrent strash at
-    // `threads > 1`. Budgets and the parallel commit must compose: the same
-    // rungs taken, the same degraded netlist, at every thread count.
+    // pool to shard its cut enumeration: the candidate cap halves (a pure
+    // pre-flow config transform) but resynthesis and snapshot mixing stay
+    // on, so the degraded build still commits resynthesis candidates over
+    // level-parallel cuts at `threads > 1`. Budgets and threads must
+    // compose: the same rungs taken, the same degraded netlist, at every
+    // thread count.
     let net = mch::benchmarks::adder(16);
     let lut = LutLibrary::k6();
     let budget = FlowBudget::unlimited().with_max_resynthesis_candidates(1000);
@@ -87,7 +88,7 @@ fn degraded_parallel_commit_is_identical_at_every_thread_count() {
                 .degradation
                 .steps
                 .contains(&DegradationStep::ResynthesisDisabled),
-            "resynthesis must survive so the parallel commit actually runs"
+            "resynthesis must survive so the degraded build still commits candidates"
         );
         assert!(result.verified, "degraded output must verify at {threads} threads");
         reports.push(result.degradation.steps.clone());
