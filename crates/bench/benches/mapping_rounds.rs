@@ -1,11 +1,12 @@
 //! Benchmark for the covering engine's memoised area-recovery rounds.
 //!
-//! Times the covering dynamic program in isolation: per circuit, cuts are
-//! enumerated and a `CoverProblem` (candidates + fanout relations) is built
-//! once, then `CoverProblem::solve` runs at `area_rounds` ∈ {2, 4, 8}, once
-//! with the engine's `CandidateCache` memoisation (the default) and once
-//! with the full-recompute baseline (`memoise = false`), and the wall-clock
-//! ratio is recorded. Cut enumeration, choice transfer and candidate
+//! Times the covering dynamic program in isolation: per circuit, each
+//! target's cover is prepared once (`prepare_lut_cover` /
+//! `prepare_asic_cover`: cuts, candidates and fanout relations) and bound
+//! into a `CoverProblem`, then `CoverProblem::solve` runs at `area_rounds` ∈
+//! {2, 4, 8}, once with the engine's `CandidateCache` memoisation (the
+//! default) and once with the full-recompute baseline (`memoise = false`),
+//! and the wall-clock ratio is recorded. Cut enumeration, choice transfer and candidate
 //! construction are excluded from the timed region — they are identical in
 //! both configurations, independent of the round count, and would only
 //! dilute the quantity under test. Memoised and recomputed netlists are
@@ -25,10 +26,9 @@
 use mch_bench::harness::{format_ns, Criterion};
 use mch_benchmarks::benchmark;
 use mch_choice::ChoiceNetwork;
-use mch_cut::CutCostModel;
 use mch_logic::Network;
 use mch_mapper::{
-    library_cost_model, prepare_cuts, AsicMapParams, AsicTarget, CoverProblem, EngineParams,
+    prepare_asic_cover, prepare_lut_cover, AsicMapParams, AsicTarget, CoverProblem, EngineParams,
     LutMapParams, LutTarget, MappingObjective,
 };
 use mch_techlib::{asap7_lite, LutLibrary};
@@ -88,28 +88,16 @@ fn main() {
         // circuit, outside timing: both configurations solve the exact same
         // prepared problem.
         let choice = ChoiceNetwork::from_network(net);
-        let lut_defaults = LutMapParams::new(MappingObjective::Balanced);
-        let lut_cuts = prepare_cuts(
-            &choice,
-            lut.k(),
-            lut_defaults.cut_limit,
-            lut_defaults.cut_ranking,
-            &CutCostModel::unit(),
-            1,
-        );
-        let lut_target = LutTarget::new(&lut, &lut_cuts);
-        let lut_problem = CoverProblem::new(&choice, &lut_target);
-        let asic_defaults = AsicMapParams::new(MappingObjective::Balanced);
-        let asic_cuts = prepare_cuts(
-            &choice,
-            lib.max_inputs().clamp(3, 6),
-            asic_defaults.cut_limit,
-            asic_defaults.cut_ranking,
-            &library_cost_model(&lib),
-            1,
-        );
-        let asic_target = AsicTarget::new(&lib, &asic_cuts);
-        let asic_problem = CoverProblem::new(&choice, &asic_target);
+        let lut_params = LutMapParams::new(MappingObjective::Balanced).with_threads(1);
+        let lut_prep = prepare_lut_cover(&choice, &lut, &lut_params);
+        let lut_target = LutTarget::new(&lut, lut_prep.cuts());
+        let lut_problem =
+            CoverProblem::with_skeleton(&choice, &lut_target, lut_prep.skeleton().clone());
+        let asic_params = AsicMapParams::new(MappingObjective::Balanced).with_threads(1);
+        let asic_prep = prepare_asic_cover(&choice, &lib, &asic_params);
+        let asic_target = AsicTarget::new(&lib, asic_prep.cuts());
+        let asic_problem =
+            CoverProblem::with_skeleton(&choice, &asic_target, asic_prep.skeleton().clone());
         // Exactness first, also outside the timed region: the memoised cover
         // must be bit-identical to full recomputation at every round count.
         let lut_identical = ROUND_COUNTS.iter().all(|&r| {

@@ -59,9 +59,10 @@ pub struct MchConfig {
     /// an ASIC guide cover's selected cones are injected into / bias the LUT
     /// cover. Off in every preset except [`lut_fusion`](MchConfig::lut_fusion)
     /// — fusion changes covers, and the preset quality numbers are pinned.
-    /// Only honoured by the fused LUT flow entry points
-    /// (`try_lut_flow_mch_fused`), which carry the cell library the guide
-    /// pass needs; ASIC flows and the plain LUT flows ignore it.
+    /// Only honoured by the fused LUT flow — `try_lut_flow_mch_fused` and
+    /// [`JobKind::LutFusedMch`](crate::JobKind::LutFusedMch) jobs — which
+    /// carries the cell library of the ASIC guide cover; the ASIC flows and
+    /// the plain LUT flows (`try_lut_flow_mch*`, `JobKind::LutMch`) ignore it.
     pub fusion: FusionMode,
 }
 

@@ -14,7 +14,7 @@ use mch_cut::{CutCost, WorkerPool};
 use mch_logic::{Network, NetworkKind, cec};
 use mch_mapper::{
     map_asic, map_lut, AsicMapParams, CellNetlist, FusionMode, LutMapParams, LutNetlist,
-    MappingObjective,
+    MappingObjective, DEFAULT_CUT_LIMIT,
 };
 use mch_opt::{compress2rs_like, compress_round, graph_map};
 use mch_techlib::{Library, LutLibrary};
@@ -43,9 +43,10 @@ fn unwrap_flow<T>(result: Result<T, FlowError>) -> T {
 }
 
 /// The service-owned shared state an MCH flow may read: the output-invisible
-/// NPN resynthesis cache and the warm-start [`PreparedFlowCache`]. Solo flows
-/// (the public `try_*_with_budget` entry points) run with
-/// [`FlowShared::default()`] — no sharing, byte-identical results either way.
+/// NPN resynthesis cache and the warm-start [`PreparedFlowCache`].
+/// `MappingService::run_flow` hands its own to the two MCH target bodies;
+/// the public `try_*` MCH entry points pass [`FlowShared::default()`] — no
+/// sharing, byte-identical results either way.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct FlowShared<'a> {
     /// Service-wide NPN resynthesis cache (see [`build_mch_with_stats_shared`]).
@@ -67,16 +68,15 @@ fn obtain_prepared(
 ) -> Arc<PreparedFlow> {
     let key = ChoiceKey::from_config(config);
     let fingerprint = flow_fingerprint(network, &key);
-    if let Some(cache) = shared.prepared {
-        if let Some(flow) = cache.lookup_contained(fingerprint, network, &key) {
-            return flow;
-        }
-        let flow = Arc::new(PreparedFlow::build(network, config, key, fingerprint, shared.npn));
-        cache.insert_contained(Arc::clone(&flow));
-        flow
-    } else {
-        Arc::new(PreparedFlow::build(network, config, key, fingerprint, shared.npn))
+    let cache = shared.prepared;
+    if let Some(flow) = cache.and_then(|c| c.lookup_contained(fingerprint, network, &key)) {
+        return flow;
     }
+    let flow = Arc::new(PreparedFlow::build(network, config, key, fingerprint, shared.npn));
+    if let Some(cache) = cache {
+        cache.insert_contained(Arc::clone(&flow));
+    }
+    flow
 }
 
 /// Builds the mixed choice network for an MCH flow: the per-node candidates of
@@ -283,50 +283,135 @@ pub fn try_asic_flow_dch(
     })
 }
 
-/// The budgeted MCH ASIC flow body. Panics stay containable by the `try_*`
-/// wrapper; the degradation ladder itself is pure configuration surgery.
-fn asic_flow_mch_impl(
+/// An MCH flow after the degradation ladder: the post-degradation config
+/// with every mapper knob the ladder shed applied, the cut limit the mapper
+/// runs at, and the prepared choice network.
+struct Degraded {
+    start: Instant,
+    config: MchConfig,
+    cut_limit: usize,
+    report: DegradationReport,
+    prepared: Arc<PreparedFlow>,
+}
+
+/// The degradation ladder of every MCH flow, in its fixed order:
+///
+/// 1. the size-based rungs of `plan_degradation` on the input network;
+/// 2. the prepared choice network (warm from `shared` or built cold);
+/// 3. the mapper cut limit, halved against the choice network's size (it is
+///    deterministically sized, so this re-check is as reproducible as the
+///    first);
+/// 4. guided flows only: fusion is dropped when the guide pass's second cut
+///    arena, of the same predicted size as the LUT one, cannot fit the slot
+///    cap — the unguided LUT cover is always a complete, valid result;
+/// 5. the deadline: when choice construction alone used it up, a guided
+///    flow drops fusion first (the guide pass is pure extra work), then the
+///    mapper falls back to structural cut ranking with zero area-recovery
+///    rounds and no exact-area pass — the cheapest valid mapping.
+///
+/// An unguided flow runs with fusion off whatever `config.fusion` says.
+fn degrade(
+    network: &Network,
+    config: &MchConfig,
+    budget: &FlowBudget,
+    shared: FlowShared<'_>,
+    guided: bool,
+) -> Degraded {
+    let start = Instant::now();
+    let (mut config, mut report) =
+        plan_degradation(network.len(), network.gate_count(), config, budget);
+    let prepared = obtain_prepared(network, &config, shared);
+    let nodes = prepared.choices().network().len();
+    let cap = budget.max_cut_arena_slots;
+    let cut_limit = shrink_cut_limit(nodes, DEFAULT_CUT_LIMIT, cap, &mut report);
+    if !guided {
+        config.fusion = FusionMode::Off;
+    }
+    let both_arenas = nodes.saturating_mul(cut_limit).saturating_mul(2);
+    if config.fusion.is_enabled() && cap.is_some_and(|cap| both_arenas > cap) {
+        config.fusion = FusionMode::Off;
+        report.steps.push(DegradationStep::FusionDropped);
+    }
+    if budget.deadline.is_some_and(|deadline| start.elapsed() >= deadline) {
+        report.deadline_breached = true;
+        if config.fusion.is_enabled() {
+            config.fusion = FusionMode::Off;
+            report.steps.push(DegradationStep::FusionDropped);
+        }
+        report.steps.push(DegradationStep::DeadlineFallback);
+        config.cut_ranking = CutCost::Structural;
+        config.area_rounds = Some(0);
+        config.exact_area = false;
+    }
+    Degraded {
+        start,
+        config,
+        cut_limit,
+        report,
+        prepared,
+    }
+}
+
+/// The MCH ASIC flow over the service-owned shared state ([`FlowShared`]):
+/// the body of [`try_asic_flow_mch_with_budget`] and of every
+/// [`JobKind::AsicMch`](crate::JobKind::AsicMch) service job.
+pub(crate) fn asic_flow_mch_shared(
     network: &Network,
     library: &Library,
     config: &MchConfig,
     budget: &FlowBudget,
     shared: FlowShared<'_>,
-) -> AsicFlowResult {
-    let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = AsicMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
-    }
-    // The choice network is deterministically sized, so this re-check is as
-    // reproducible as the pre-enumeration one.
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
-        budget.max_cut_arena_slots,
-        &mut report,
-    );
-    if let Some(deadline) = budget.deadline {
-        if start.elapsed() >= deadline {
-            report.deadline_breached = true;
-            report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
+) -> Result<AsicFlowResult, FlowError> {
+    validate_network(network)?;
+    validate_library(library)?;
+    contain(|| {
+        let run = degrade(network, config, budget, shared, false);
+        let config = &run.config;
+        let mut params = AsicMapParams::new(config.objective)
+            .with_ranking(config.cut_ranking)
+            .with_threads(config.threads)
+            .with_exact_area(config.exact_area);
+        if let Some(rounds) = config.area_rounds {
+            params = params.with_area_rounds(rounds);
         }
+        params.cut_limit = run.cut_limit;
+        let netlist = run.prepared.map_asic(library, &params);
+        finish_asic(config.name.clone(), network, netlist, library, run.start, run.report)
+    })
+}
+
+/// The MCH K-LUT flow over the service-owned shared state: the body of
+/// [`try_lut_flow_mch_with_budget`] (no `guide`), of [`try_lut_flow_mch_fused`]
+/// (`guide` is the cell library of the ASIC guide cover) and of the LUT
+/// service jobs.
+pub(crate) fn lut_flow_mch_shared(
+    network: &Network,
+    lut: &LutLibrary,
+    guide: Option<&Library>,
+    config: &MchConfig,
+    budget: &FlowBudget,
+    shared: FlowShared<'_>,
+) -> Result<LutFlowResult, FlowError> {
+    validate_network(network)?;
+    validate_lut_library(lut)?;
+    if let Some(library) = guide {
+        validate_library(library)?;
     }
-    let netlist = prepared.map_asic(library, &params);
-    finish_asic(config.name.clone(), network, netlist, library, start, report)
+    contain(|| {
+        let run = degrade(network, config, budget, shared, guide.is_some());
+        let config = &run.config;
+        let mut params = LutMapParams::new(config.objective)
+            .with_ranking(config.cut_ranking)
+            .with_threads(config.threads)
+            .with_exact_area(config.exact_area)
+            .with_fusion(config.fusion);
+        if let Some(rounds) = config.area_rounds {
+            params = params.with_area_rounds(rounds);
+        }
+        params.cut_limit = run.cut_limit;
+        let netlist = run.prepared.map_lut(lut, guide, &params);
+        finish_lut(config.name.clone(), network, netlist, run.start, run.report)
+    })
 }
 
 /// MCH ASIC flow: mixed structural choices evaluated by the choice-aware
@@ -365,23 +450,7 @@ pub fn try_asic_flow_mch_with_budget(
     config: &MchConfig,
     budget: &FlowBudget,
 ) -> Result<AsicFlowResult, FlowError> {
-    try_asic_flow_mch_shared(network, library, config, budget, FlowShared::default())
-}
-
-/// [`try_asic_flow_mch_with_budget`] over the service-owned shared state
-/// ([`FlowShared`]: NPN cache + warm-start cache) — the per-job entry point
-/// of the [`MappingService`](crate::service). Sharing is output-invisible
-/// (see [`build_mch_with_stats_shared`] and [`PreparedFlowCache`]).
-pub(crate) fn try_asic_flow_mch_shared(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<AsicFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_library(library)?;
-    contain(|| asic_flow_mch_impl(network, library, config, budget, shared))
+    asic_flow_mch_shared(network, library, config, budget, FlowShared::default())
 }
 
 /// Baseline FPGA flow: plain K-LUT mapping of the input network.
@@ -416,179 +485,26 @@ pub fn try_lut_flow_baseline(
     })
 }
 
-/// The budgeted MCH FPGA flow body (see [`asic_flow_mch_impl`]).
-fn lut_flow_mch_impl(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> LutFlowResult {
-    let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = LutMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
-    }
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
-        budget.max_cut_arena_slots,
-        &mut report,
-    );
-    if let Some(deadline) = budget.deadline {
-        if start.elapsed() >= deadline {
-            report.deadline_breached = true;
-            report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
-        }
-    }
-    let netlist = prepared.map_lut(lut, &params);
-    finish_lut(config.name.clone(), network, netlist, start, report)
-}
-
-/// The budgeted fused MCH FPGA flow body: [`lut_flow_mch_impl`] with the
-/// cross-mapper fusion pipeline ([`mch_mapper::fusion`]) ahead of the LUT
-/// cover, plus two fusion-specific degradation rungs. Both are
-/// deterministic: the arena check depends only on the (deterministically
-/// sized) choice network, and the deadline check rides the existing
-/// [`DegradationStep::DeadlineFallback`] decision point.
-fn lut_flow_mch_fused_impl(
-    network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> LutFlowResult {
-    let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = LutMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area)
-        .with_fusion(config.fusion);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
-    }
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
-        budget.max_cut_arena_slots,
-        &mut report,
-    );
-    // The ASIC guide pass enumerates a second cut arena of (at most) the same
-    // predicted size as the LUT one; when the two together cannot fit the
-    // slot cap, fusion is the thing to shed — the plain LUT cover is always
-    // a complete, valid result.
-    if let Some(cap) = budget.max_cut_arena_slots {
-        let both_arenas = prepared
-            .choices()
-            .network()
-            .len()
-            .saturating_mul(params.cut_limit)
-            .saturating_mul(2);
-        if params.fusion.is_enabled() && both_arenas > cap {
-            params = params.with_fusion(FusionMode::Off);
-            report.steps.push(DegradationStep::FusionDropped);
-        }
-    }
-    if let Some(deadline) = budget.deadline {
-        if start.elapsed() >= deadline {
-            report.deadline_breached = true;
-            if params.fusion.is_enabled() {
-                // The guide pass is pure extra work; shed it before falling
-                // back to the cheapest valid mapping.
-                params = params.with_fusion(FusionMode::Off);
-                report.steps.push(DegradationStep::FusionDropped);
-            }
-            report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
-        }
-    }
-    let netlist = prepared.map_lut_fused(lut, library, &params);
-    finish_lut(config.name.clone(), network, netlist, start, report)
-}
-
 /// Fused MCH FPGA flow: [`lut_flow_mch`] with ASIC-guided cross-mapper fusion
-/// (see [`mch_mapper::fusion`]) — `library` drives the ASIC guide cover whose
-/// selected cones are injected into / bias the LUT cover per
-/// [`MchConfig::fusion`]. With [`FusionMode::Off`] (every preset except
-/// [`MchConfig::lut_fusion`]) the output is byte-identical to
+/// (see [`mch_mapper::fusion`]) — `library` drives the ASIC guide cover, an
+/// ordinary ASIC cover whose selected cones are injected into / bias the LUT
+/// cover per [`MchConfig::fusion`]. With [`FusionMode::Off`] (every preset
+/// except [`MchConfig::lut_fusion`]) the output is byte-identical to
 /// [`lut_flow_mch`].
 ///
-/// Panics on invalid inputs; use [`try_lut_flow_mch_fused`] to get a
-/// structured [`FlowError`] instead.
-pub fn lut_flow_mch_fused(
-    network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
-    config: &MchConfig,
-) -> LutFlowResult {
-    unwrap_flow(try_lut_flow_mch_fused(network, lut, library, config))
-}
-
-/// Fallible [`lut_flow_mch_fused`]: validates all three inputs up front
-/// (network, LUT library, cell library) and contains any phase panic as
-/// [`FlowError::WorkerPanic`].
+/// Validates all three inputs up front (network, LUT library, cell library)
+/// and contains any phase panic as [`FlowError::WorkerPanic`]. A budgeted
+/// fused flow runs as a service job, `Job::lut_fused(..).with_budget(..)`:
+/// beyond the ladder of the other MCH flows, fusion itself is a rung
+/// ([`DegradationStep::FusionDropped`]).
 pub fn try_lut_flow_mch_fused(
     network: &Network,
     lut: &LutLibrary,
     library: &Library,
     config: &MchConfig,
 ) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_fused_with_budget(network, lut, library, config, &FlowBudget::unlimited())
-}
-
-/// [`try_lut_flow_mch_fused`] under a [`FlowBudget`]: beyond the shared
-/// ladder, fusion itself is a rung — it is dropped
-/// ([`DegradationStep::FusionDropped`]) when the guide pass's second cut
-/// arena cannot fit the slot cap or the deadline already passed.
-pub fn try_lut_flow_mch_fused_with_budget(
-    network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_fused_shared(network, lut, library, config, budget, FlowShared::default())
-}
-
-/// [`try_lut_flow_mch_fused_with_budget`] over the service-owned shared
-/// state — the per-job entry point of the [`MappingService`](crate::service).
-pub(crate) fn try_lut_flow_mch_fused_shared(
-    network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<LutFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_lut_library(lut)?;
-    validate_library(library)?;
-    contain(|| lut_flow_mch_fused_impl(network, lut, library, config, budget, shared))
+    let unlimited = FlowBudget::unlimited();
+    lut_flow_mch_shared(network, lut, Some(library), config, &unlimited, FlowShared::default())
 }
 
 /// MCH FPGA flow: K-LUT mapping over a mixed choice network (the Table-II
@@ -621,21 +537,7 @@ pub fn try_lut_flow_mch_with_budget(
     config: &MchConfig,
     budget: &FlowBudget,
 ) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_shared(network, lut, config, budget, FlowShared::default())
-}
-
-/// [`try_lut_flow_mch_with_budget`] over the service-owned shared state —
-/// the per-job entry point of the [`MappingService`](crate::service).
-pub(crate) fn try_lut_flow_mch_shared(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<LutFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_lut_library(lut)?;
-    contain(|| lut_flow_mch_impl(network, lut, config, budget, shared))
+    lut_flow_mch_shared(network, lut, None, config, budget, FlowShared::default())
 }
 
 /// Fallible [`build_mch`](mch_choice::build_mch): validates the network up
@@ -736,16 +638,12 @@ mod tests {
         // Fusion off: the fused entry point is byte-identical to the plain
         // flow (the guide pass never runs).
         let plain = lut_flow_mch(&net, &lut, &MchConfig::lut_area());
-        let off = lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_area());
+        let off = unwrap_flow(try_lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_area()));
         assert_eq!(plain.netlist, off.netlist);
         // Fusion on: still a verified cover, whatever the mode.
         for mode in [FusionMode::Bias, FusionMode::Inject, FusionMode::Full] {
-            let fused = lut_flow_mch_fused(
-                &net,
-                &lut,
-                &lib,
-                &MchConfig::lut_fusion().with_fusion(mode),
-            );
+            let config = MchConfig::lut_fusion().with_fusion(mode);
+            let fused = unwrap_flow(try_lut_flow_mch_fused(&net, &lut, &lib, &config));
             assert!(fused.verified, "{mode:?} flow failed verification");
             assert!(fused.luts >= 1);
             assert!(!fused.degradation.degraded());
@@ -762,12 +660,13 @@ mod tests {
         // completes and verifies, and the output matches the unfused flow
         // under the same budget.
         let budget = FlowBudget::unlimited().with_max_cut_arena_slots(400);
-        let fused = unwrap_flow(try_lut_flow_mch_fused_with_budget(
+        let fused = unwrap_flow(lut_flow_mch_shared(
             &net,
             &lut,
-            &lib,
+            Some(&lib),
             &MchConfig::lut_fusion(),
             &budget,
+            FlowShared::default(),
         ));
         assert!(fused.verified);
         assert!(

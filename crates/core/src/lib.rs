@@ -40,10 +40,9 @@ pub use error::{validate_library, validate_lut_library, validate_network, FlowEr
 pub use prepared::{PreparedFlow, PreparedFlowCache};
 pub use flow::{
     asic_flow_baseline, asic_flow_dch, asic_flow_mch, lut_flow_baseline, lut_flow_mch,
-    lut_flow_mch_fused, prepare_input, try_asic_flow_baseline, try_asic_flow_dch,
-    try_asic_flow_mch, try_asic_flow_mch_with_budget, try_build_mch, try_lut_flow_baseline,
-    try_lut_flow_mch, try_lut_flow_mch_fused, try_lut_flow_mch_fused_with_budget,
-    try_lut_flow_mch_with_budget, AsicFlowResult, LutFlowResult,
+    prepare_input, try_asic_flow_baseline, try_asic_flow_dch, try_asic_flow_mch,
+    try_asic_flow_mch_with_budget, try_build_mch, try_lut_flow_baseline, try_lut_flow_mch,
+    try_lut_flow_mch_fused, try_lut_flow_mch_with_budget, AsicFlowResult, LutFlowResult,
 };
 pub use report::{geometric_mean, improvement_percent, FlowMetrics};
 pub use service::{Job, JobKind, JobOutput, JobReport, MappingService, ServiceStats};

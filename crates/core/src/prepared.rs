@@ -100,37 +100,51 @@ fn network_bytes(net: &Network) -> usize {
         + std::mem::size_of_val(net.outputs())
 }
 
-/// Per-mapper prepared state, keyed by everything its preparation phase
-/// reads. `cut_limit` is the **post-`shrink_cut_limit`** value, so budgeted
-/// and unbudgeted variants never share a cut set they shouldn't.
-struct AsicKey {
+/// One prepared cover's key: everything its preparation phase reads besides
+/// the choice network. `cut_limit` is the **post-`shrink_cut_limit`** value,
+/// so budgeted and unbudgeted variants never share a cut set they shouldn't.
+struct CoverKey<L> {
     ranking: CutCost,
     cut_limit: usize,
-    library: Library,
+    library: L,
 }
 
-struct LutKey {
-    ranking: CutCost,
-    cut_limit: usize,
-    lut: LutLibrary,
-}
+/// The prepared covers of one flow, one entry per distinct key seen so far
+/// (see [`cover_state`]).
+type Covers<L, C> = Vec<(CoverKey<L>, Arc<PreparedCover<C>>)>;
 
-/// The fusion guide's cut set is shaped by the LUT objective (it picks the
-/// guide's ASIC ranking — see `mch_mapper::prepare_fusion_guide`), not by the
-/// LUT ranking.
-struct GuideKey {
-    objective: MappingObjective,
-    cut_limit: usize,
-    library: Library,
-}
-
-/// Lazily grown prepared cover state of one flow, one entry per distinct
-/// mapper configuration seen so far.
+/// Lazily grown prepared cover state of one flow. A fusion guide is the
+/// ASIC cover of `(objective's default ranking, LUT cut limit, cell
+/// library)` (see `mch_mapper::prepare_fusion_guide`), so guides and ASIC
+/// flows share the `asic` list.
 #[derive(Default)]
 struct PreparedMappers {
-    asic: Vec<(AsicKey, Arc<PreparedCover<MatchCandidate>>)>,
-    lut: Vec<(LutKey, Arc<PreparedCover<LutCandidate>>)>,
-    guide: Vec<(GuideKey, Arc<PreparedCover<MatchCandidate>>)>,
+    asic: Covers<Library, MatchCandidate>,
+    lut: Covers<LutLibrary, LutCandidate>,
+}
+
+/// The cover keyed by `(ranking, cut_limit, library)`, built by `build` on
+/// first use.
+fn cover_state<L: PartialEq + Clone, C>(
+    covers: &mut Covers<L, C>,
+    ranking: CutCost,
+    cut_limit: usize,
+    library: &L,
+    build: impl FnOnce() -> PreparedCover<C>,
+) -> Arc<PreparedCover<C>> {
+    if let Some((_, prep)) = covers.iter().find(|(k, _)| {
+        k.ranking == ranking && k.cut_limit == cut_limit && k.library == *library
+    }) {
+        return Arc::clone(prep);
+    }
+    let prep = Arc::new(build());
+    let key = CoverKey {
+        ranking,
+        cut_limit,
+        library: library.clone(),
+    };
+    covers.push((key, Arc::clone(&prep)));
+    prep
 }
 
 /// The reusable, params-independent artifact of one `(network, choice
@@ -156,7 +170,6 @@ impl std::fmt::Debug for PreparedMappers {
         f.debug_struct("PreparedMappers")
             .field("asic", &self.asic.len())
             .field("lut", &self.lut.len())
-            .field("guide", &self.guide.len())
             .finish()
     }
 }
@@ -204,108 +217,52 @@ impl PreparedFlow {
         self.mappers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The ASIC prepared cover for `(params.cut_ranking, params.cut_limit,
-    /// library)`, building it on first use.
-    fn asic_state(
-        &self,
-        library: &Library,
-        params: &AsicMapParams,
-    ) -> Arc<PreparedCover<MatchCandidate>> {
-        let mut mappers = self.lock_mappers();
-        if let Some((_, prep)) = mappers.asic.iter().find(|(k, _)| {
-            k.ranking == params.cut_ranking && k.cut_limit == params.cut_limit && k.library == *library
-        }) {
-            return Arc::clone(prep);
-        }
-        let prep = Arc::new(prepare_asic_cover(&self.choices, library, params));
-        mappers.asic.push((
-            AsicKey {
-                ranking: params.cut_ranking,
-                cut_limit: params.cut_limit,
-                library: library.clone(),
-            },
-            Arc::clone(&prep),
-        ));
-        prep
-    }
-
-    fn lut_state(
-        &self,
-        lut: &LutLibrary,
-        params: &LutMapParams,
-    ) -> Arc<PreparedCover<LutCandidate>> {
-        let mut mappers = self.lock_mappers();
-        if let Some((_, prep)) = mappers.lut.iter().find(|(k, _)| {
-            k.ranking == params.cut_ranking && k.cut_limit == params.cut_limit && k.lut == *lut
-        }) {
-            return Arc::clone(prep);
-        }
-        let prep = Arc::new(prepare_lut_cover(&self.choices, lut, params));
-        mappers.lut.push((
-            LutKey {
-                ranking: params.cut_ranking,
-                cut_limit: params.cut_limit,
-                lut: *lut,
-            },
-            Arc::clone(&prep),
-        ));
-        prep
-    }
-
-    fn guide_state(
-        &self,
-        library: &Library,
-        params: &LutMapParams,
-    ) -> Arc<PreparedCover<MatchCandidate>> {
-        let mut mappers = self.lock_mappers();
-        if let Some((_, prep)) = mappers.guide.iter().find(|(k, _)| {
-            k.objective == params.objective
-                && k.cut_limit == params.cut_limit
-                && k.library == *library
-        }) {
-            return Arc::clone(prep);
-        }
-        let prep = Arc::new(prepare_fusion_guide(&self.choices, library, params));
-        mappers.guide.push((
-            GuideKey {
-                objective: params.objective,
-                cut_limit: params.cut_limit,
-                library: library.clone(),
-            },
-            Arc::clone(&prep),
-        ));
-        prep
-    }
-
     /// The covering phase of the ASIC flow over this artifact. Byte-identical
     /// to `map_asic(self.choices(), library, params)`.
     pub(crate) fn map_asic(&self, library: &Library, params: &AsicMapParams) -> CellNetlist {
-        let prep = self.asic_state(library, params);
+        let prep = cover_state(
+            &mut self.lock_mappers().asic,
+            params.cut_ranking,
+            params.cut_limit,
+            library,
+            || prepare_asic_cover(&self.choices, library, params),
+        );
         map_asic_prepared(&self.choices, library, &prep, params)
     }
 
-    /// The covering phase of the LUT flow over this artifact. Byte-identical
-    /// to `map_lut(self.choices(), lut, params)`.
-    pub(crate) fn map_lut(&self, lut: &LutLibrary, params: &LutMapParams) -> LutNetlist {
-        let prep = self.lut_state(lut, params);
-        map_lut_prepared(&self.choices, lut, &prep, params)
-    }
-
-    /// The covering phase of the fused LUT flow over this artifact.
+    /// The covering phase of the LUT flow over this artifact, guided by the
+    /// ASIC cover of the `guide` library when `params.fusion` is on.
     /// Byte-identical to `map_lut_fused(self.choices(), lut, library,
-    /// params)`; with fusion off the guide state is never built.
-    pub(crate) fn map_lut_fused(
+    /// params)` with `guide = Some(library)` and to `map_lut(self.choices(),
+    /// lut, params)` without one; with fusion off the guide cover is never
+    /// built.
+    pub(crate) fn map_lut(
         &self,
         lut: &LutLibrary,
-        library: &Library,
+        guide: Option<&Library>,
         params: &LutMapParams,
     ) -> LutNetlist {
-        if !params.fusion.is_enabled() {
-            return self.map_lut(lut, params);
+        let (lut_prep, guide) = {
+            let mappers = &mut *self.lock_mappers();
+            let (ranking, cut_limit) = (params.cut_ranking, params.cut_limit);
+            let lut_prep = cover_state(&mut mappers.lut, ranking, cut_limit, lut, || {
+                prepare_lut_cover(&self.choices, lut, params)
+            });
+            let guide = guide.filter(|_| params.fusion.is_enabled()).map(|library| {
+                let ranking = params.objective.default_ranking();
+                let prep = cover_state(&mut mappers.asic, ranking, cut_limit, library, || {
+                    prepare_fusion_guide(&self.choices, library, params)
+                });
+                (library, prep)
+            });
+            (lut_prep, guide)
+        };
+        match guide {
+            Some((library, guide_prep)) => {
+                map_lut_fused_prepared(&self.choices, lut, library, params, &lut_prep, &guide_prep)
+            }
+            None => map_lut_prepared(&self.choices, lut, &lut_prep, params),
         }
-        let lut_prep = self.lut_state(lut, params);
-        let guide_prep = self.guide_state(library, params);
-        map_lut_fused_prepared(&self.choices, lut, library, params, &lut_prep, &guide_prep)
     }
 
     /// Approximate heap footprint in bytes: the stored network, the choice
@@ -322,12 +279,6 @@ impl PreparedFlow {
                     .lut
                     .iter()
                     .map(|(_, p)| p.approx_bytes(LutCandidate::approx_bytes)),
-            )
-            .chain(
-                mappers
-                    .guide
-                    .iter()
-                    .map(|(_, p)| p.approx_bytes(MatchCandidate::approx_bytes)),
             )
             .sum();
         network_bytes(&self.network)
@@ -630,7 +581,7 @@ mod tests {
         assert!(before > 0);
         let lut = mch_techlib::LutLibrary::k6();
         let params = LutMapParams::new(config.objective);
-        let _ = flow.map_lut(&lut, &params);
+        let _ = flow.map_lut(&lut, None, &params);
         assert!(
             flow.approx_bytes() > before,
             "building the LUT prepared state must grow the accounted footprint"

@@ -7,9 +7,10 @@
 //! the library, the per-candidate delay/area model (cell + inverters), and
 //! emission of the selected cover as a [`CellNetlist`].
 
-use crate::engine::{cover, Cover, CoverTarget, EngineParams};
-use crate::mapping::{prepare_cuts, MappingObjective};
+use crate::engine::{Cover, CoverProblem, CoverTarget, EngineParams};
+use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
 use crate::netlist::{CellNetlist, NetRef};
+use crate::prepared::{prepare_asic_cover, PreparedCover};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, CutCostModel, NetworkCuts, MAX_CUT_SIZE};
 use mch_logic::{GateKind, Network, NodeId, Signal, TruthTable};
@@ -21,10 +22,8 @@ use std::collections::HashMap;
 /// inputs (sizes no cell provides inherit the previous size's estimate plus
 /// an inverter, approximating a decomposition). This is what lets the depth
 /// ranking know that covering more leaves with one cell is *not* free in an
-/// ASIC flow, unlike in LUT mapping.
-///
-/// Public so callers of [`map_asic_with_cuts`] can run [`prepare_cuts`] with
-/// the same ranking model [`map_asic`] uses.
+/// ASIC flow, unlike in LUT mapping. [`prepare_asic_cover`] ranks every ASIC
+/// cut set with this model.
 pub fn library_cost_model(library: &Library) -> CutCostModel {
     let mut min_delay = [f64::INFINITY; MAX_CUT_SIZE + 1];
     let mut min_area = [f64::INFINITY; MAX_CUT_SIZE + 1];
@@ -83,7 +82,7 @@ impl AsicMapParams {
     pub fn new(objective: MappingObjective) -> Self {
         AsicMapParams {
             objective,
-            cut_limit: 8,
+            cut_limit: DEFAULT_CUT_LIMIT,
             area_rounds: 2,
             exact_area: false,
             memoise: true,
@@ -227,9 +226,8 @@ pub struct AsicTarget<'a> {
 }
 
 impl<'a> AsicTarget<'a> {
-    /// Creates the target over pre-enumerated cuts (from [`prepare_cuts`]
-    /// with cut size `library.max_inputs().clamp(3, 6)` and the
-    /// [`library_cost_model`] ranking model).
+    /// Creates the target over pre-enumerated cuts (the cut set of a
+    /// [`prepare_asic_cover`]).
     pub fn new(library: &'a Library, cuts: &'a NetworkCuts) -> Self {
         AsicTarget {
             library,
@@ -446,39 +444,9 @@ pub fn map_asic(
     library: &Library,
     params: &AsicMapParams,
 ) -> CellNetlist {
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    // Choice transfer leaves dead spans behind (`commit_extension` cannot
-    // always rewrite in place); reclaim them before covering so the arena —
-    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
-    // is dense. `compact` preserves every node's cut list byte-for-byte.
-    cuts.compact();
-    map_asic_with_cuts(choice, library, &cuts, params)
-}
-
-/// Covers a choice network onto standard cells over **pre-enumerated** cuts.
-///
-/// This is the covering phase of [`map_asic`] in isolation: `cuts` must come
-/// from [`prepare_cuts`] over the same choice network (cut size
-/// `library.max_inputs().clamp(3, 6)`). Use it to re-cover one cut set under
-/// several parameter settings — different `area_rounds`, `exact_area` or
-/// objectives — without paying enumeration and choice transfer again; the
-/// `mapping_rounds` bench measures exactly this call.
-pub fn map_asic_with_cuts(
-    choice: &ChoiceNetwork,
-    library: &Library,
-    cuts: &NetworkCuts,
-    params: &AsicMapParams,
-) -> CellNetlist {
-    let target = AsicTarget::new(library, cuts);
-    cover(choice, &target, &params.engine_params())
+    let PreparedCover { cuts, skeleton } = prepare_asic_cover(choice, library, params);
+    let target = AsicTarget::new(library, &cuts);
+    CoverProblem::with_skeleton(choice, &target, skeleton).solve(&params.engine_params())
 }
 
 /// Convenience: maps a plain network (no choices) onto standard cells.

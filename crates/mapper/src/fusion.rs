@@ -8,8 +8,10 @@
 //! [`CoverTarget`](crate::engine::CoverTarget)s over the same
 //! [`CoverProblem`] engine, the fusion pipeline is small:
 //!
-//! 1. run an ASIC cover over the choice network's cuts
-//!    ([`CoverProblem::solve_selection`] — no netlist is emitted),
+//! 1. run an ordinary ASIC cover over the choice network
+//!    ([`prepare_fusion_guide`] is [`crate::prepare_asic_cover`] under the
+//!    guide's parameters; [`CoverProblem::solve_selection`] — no netlist is
+//!    emitted),
 //! 2. harvest the winning cover as **cell clusters**: each selected cone
 //!    greedily absorbs the selected cones of its fanin cells while the
 //!    merged support fits `K` leaves, so a harvested cone is a whole
@@ -32,14 +34,14 @@
 //! selection, so fused output is byte-identical at every thread count — the
 //! same invariant every other phase holds (`tests/choice_determinism.rs`).
 
-use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
+use crate::asic::{AsicMapParams, AsicTarget, MatchCandidate};
 use crate::engine::{CoverProblem, CoverSkeleton};
 use crate::lut::{map_lut, LutCandidate, LutMapParams, LutTarget};
-use crate::mapping::{prepare_cuts, MappingObjective};
+use crate::mapping::MappingObjective;
 use crate::netlist::LutNetlist;
-use crate::prepared::{map_lut_prepared, PreparedCover};
+use crate::prepared::{map_lut_prepared, prepare_asic_cover, prepare_lut_cover, PreparedCover};
 use mch_choice::ChoiceNetwork;
-use mch_cut::CutCostModel;
+use mch_cut::NetworkCuts;
 use mch_logic::{NodeId, TruthTable};
 use mch_techlib::{Library, LutLibrary};
 
@@ -83,7 +85,7 @@ const FUSION_BONUS_LUTS: f64 = 0.25;
 
 /// A cone harvested from the ASIC cover: the root it covers, its
 /// support-reduced leaves (sorted, distinct) and the function they feed.
-/// One cone may absorb several standard cells (see [`harvest_asic_cones`]).
+/// One cone may absorb several standard cells (see [`harvest_cones`]).
 struct AsicCone {
     root: NodeId,
     leaves: Vec<NodeId>,
@@ -109,36 +111,30 @@ pub fn map_lut_fused(
     if !params.fusion.is_enabled() {
         return map_lut(choice, lut, params);
     }
-    let cones = harvest_asic_cones(choice, library, params, lut.k());
-
-    let mut cuts = prepare_cuts(
-        choice,
-        lut.k(),
-        params.cut_limit,
-        params.cut_ranking,
-        &CutCostModel::unit(),
-        params.threads,
-    );
-    cuts.compact();
-    let target = LutTarget::new(lut, &cuts);
-    let problem = CoverProblem::new(choice, &target);
-    solve_guarded(problem, lut, &cones, params)
+    let guide = prepare_fusion_guide(choice, library, params);
+    let cones = harvest_cones(choice, library, &guide.cuts, guide.skeleton, params, lut.k());
+    let prep = prepare_lut_cover(choice, lut, params);
+    solve_guarded(choice, lut, &prep.cuts, prep.skeleton, &cones, params)
 }
 
-/// The guarded double solve shared by the one-shot and warm-start pipelines:
-/// solve the unguided cover first (identical to [`map_lut`] — same cuts, same
-/// engine parameters), then the guided one, and emit whichever maps better
-/// under the objective. Area flow is a heuristic: an ASIC cone that looks
-/// locally cheap can globally reduce sharing, so the guide's cover is
-/// accepted only when it wins — the guide can help, never hurt. Ties keep the
-/// unguided cover, so a guide pass that changes nothing still returns the
-/// plain mapper's bytes.
+/// The guarded double solve shared by the one-shot and warm-start pipelines,
+/// over a LUT cut set and its skeleton: solve the unguided cover first
+/// (identical to [`map_lut`] — same cuts, same engine parameters), then the
+/// guided one, and emit whichever maps better under the objective. Area flow
+/// is a heuristic: an ASIC cone that looks locally cheap can globally reduce
+/// sharing, so the guide's cover is accepted only when it wins — the guide
+/// can help, never hurt. Ties keep the unguided cover, so a guide pass that
+/// changes nothing still returns the plain mapper's bytes.
 fn solve_guarded(
-    mut problem: CoverProblem<'_, LutTarget<'_>>,
+    choice: &ChoiceNetwork,
     lut: &LutLibrary,
+    cuts: &NetworkCuts,
+    skeleton: CoverSkeleton<LutCandidate>,
     cones: &[AsicCone],
     params: &LutMapParams,
 ) -> LutNetlist {
+    let target = LutTarget::new(lut, cuts);
+    let mut problem = CoverProblem::with_skeleton(choice, &target, skeleton);
     let engine = params.engine_params();
     let plain = problem.emit(&problem.solve_selection(&engine));
     apply_cones(&mut problem, lut, cones, params.fusion);
@@ -155,44 +151,32 @@ fn solve_guarded(
 }
 
 /// The ASIC parameters of the guide pass, derived from the LUT parameters:
-/// objective, threads and memoisation carry over, everything else takes the
-/// ASIC defaults. The guide's cut ranking — which shapes its cut set, and
-/// hence the prepared guide artifact — is the objective's natural ASIC
-/// ranking.
+/// objective, cut limit, threads and memoisation carry over, everything else
+/// takes the ASIC defaults. The guide's cut ranking is the objective's
+/// natural ASIC ranking, so its prepared cover is the ASIC cover of
+/// `(objective.default_ranking(), cut_limit, library)`.
 fn guide_asic_params(params: &LutMapParams) -> AsicMapParams {
-    AsicMapParams::new(params.objective)
+    let mut asic = AsicMapParams::new(params.objective)
         .with_threads(params.threads)
-        .with_memoise(params.memoise)
+        .with_memoise(params.memoise);
+    asic.cut_limit = params.cut_limit;
+    asic
 }
 
-/// Runs the preparation phase of the fusion guide pass: ASIC cut enumeration
-/// and Boolean matching under the guide's derived ASIC parameters
-/// (objective-derived ranking, the LUT `cut_limit`).
+/// Runs the preparation phase of the fusion guide pass: an ordinary
+/// [`prepare_asic_cover`] under the guide's derived ASIC parameters (the
+/// objective's natural ranking, the LUT `cut_limit`).
 ///
 /// Of `params`, only `objective`, `cut_limit` and `threads` reach this phase,
-/// and `threads` never changes the result — a cache key needs `objective`,
-/// `cut_limit` and the cell library.
+/// and `threads` never changes the result — the artifact is the ASIC cover
+/// keyed by the objective's default ranking, `cut_limit` and the cell
+/// library.
 pub fn prepare_fusion_guide(
     choice: &ChoiceNetwork,
     library: &Library,
     params: &LutMapParams,
 ) -> PreparedCover<MatchCandidate> {
-    let asic_params = guide_asic_params(params);
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        asic_params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    cuts.compact();
-    let skeleton = {
-        let target = AsicTarget::new(library, &cuts);
-        CoverSkeleton::build(choice, &target)
-    };
-    PreparedCover { cuts, skeleton }
+    prepare_asic_cover(choice, library, &guide_asic_params(params))
 }
 
 /// [`map_lut_fused`] over prepared covers — the warm-start path.
@@ -213,17 +197,14 @@ pub fn map_lut_fused_prepared(
     if !params.fusion.is_enabled() {
         return map_lut_prepared(choice, lut, lut_prep, params);
     }
-    let cones = {
-        let target = AsicTarget::new(library, &guide_prep.cuts);
-        let problem = CoverProblem::with_skeleton(choice, &target, guide_prep.skeleton.clone());
-        harvest_from_selection(choice, &problem, params, lut.k())
-    };
-    let target = LutTarget::new(lut, &lut_prep.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, lut_prep.skeleton.clone());
-    solve_guarded(problem, lut, &cones, params)
+    let guide = guide_prep.skeleton.clone();
+    let cones = harvest_cones(choice, library, &guide_prep.cuts, guide, params, lut.k());
+    let skeleton = lut_prep.skeleton.clone();
+    solve_guarded(choice, lut, &lut_prep.cuts, skeleton, &cones, params)
 }
 
-/// Runs the ASIC guide cover and returns the harvested cones in id order.
+/// Solves the ASIC guide cover over a prepared guide cut set and skeleton
+/// and returns the harvested cones in id order.
 ///
 /// The guide pass reuses the LUT parameters where they apply (objective,
 /// cut limit, threads, memoisation) and the ASIC defaults elsewhere, and
@@ -236,38 +217,16 @@ pub fn map_lut_fused_prepared(
 /// still fits `k` leaves. The merged cone covers a whole subtree of the cell
 /// netlist with one LUT — the structural alignment fusion is after — and the
 /// cell boundaries inside it are exactly the ASIC mapper's choices.
-fn harvest_asic_cones(
+fn harvest_cones(
     choice: &ChoiceNetwork,
     library: &Library,
+    cuts: &NetworkCuts,
+    skeleton: CoverSkeleton<MatchCandidate>,
     params: &LutMapParams,
     k: usize,
 ) -> Vec<AsicCone> {
-    let asic_params = guide_asic_params(params);
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        asic_params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    cuts.compact();
-    let target = AsicTarget::new(library, &cuts);
-    let problem = CoverProblem::new(choice, &target);
-    harvest_from_selection(choice, &problem, params, k)
-}
-
-/// Solves the guide problem's selection and clusters its winning cover into
-/// LUT-sized cones (see [`harvest_asic_cones`] for the clustering rules).
-/// Shared by the one-shot path (which builds the guide problem from scratch)
-/// and the warm-start path (which rebuilds it from a [`PreparedCover`]).
-fn harvest_from_selection(
-    choice: &ChoiceNetwork,
-    problem: &CoverProblem<'_, AsicTarget<'_>>,
-    params: &LutMapParams,
-    k: usize,
-) -> Vec<AsicCone> {
+    let target = AsicTarget::new(library, cuts);
+    let problem = CoverProblem::with_skeleton(choice, &target, skeleton);
     let selection = problem.solve_selection(&guide_asic_params(params).engine_params());
 
     // The winning cover: the selected cell cone of every needed gate.

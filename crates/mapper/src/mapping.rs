@@ -13,6 +13,10 @@ use mch_cut::{
 };
 use mch_logic::{NodeId, TruthTable};
 
+/// The per-node cut limit [`AsicMapParams::new`](crate::AsicMapParams::new)
+/// and [`LutMapParams::new`](crate::LutMapParams::new) start from.
+pub const DEFAULT_CUT_LIMIT: usize = 8;
+
 /// What the mapper optimises for.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum MappingObjective {
@@ -360,10 +364,14 @@ mod tests {
             }
         }
         let lut = mch_techlib::LutLibrary::k4();
-        let params = crate::lut::LutMapParams::default();
+        let engine = crate::lut::LutMapParams::default().engine_params();
+        let map = |cuts| {
+            let target = crate::lut::LutTarget::new(&lut, cuts);
+            crate::engine::CoverProblem::new(&mch, &target).solve(&engine)
+        };
         assert_eq!(
-            crate::lut::map_lut_with_cuts(&mch, &lut, &wasteful, &params),
-            crate::lut::map_lut_with_cuts(&mch, &lut, &compacted, &params),
+            map(&wasteful),
+            map(&compacted),
             "compaction changed the mapped netlist"
         );
     }

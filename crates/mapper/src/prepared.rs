@@ -1,5 +1,5 @@
 //! Prepared cover state: the params-independent half of a mapping run, built
-//! once and re-solved under many parameter variants (the warm-start path).
+//! once and solved under one or many parameter variants.
 //!
 //! Both mappers split into two phases with very different reuse profiles:
 //!
@@ -12,14 +12,14 @@
 //!    memoisation.
 //!
 //! A [`PreparedCover`] captures phase 1 — the compacted cut set plus the
-//! [`CoverSkeleton`] built over it — so a parameter sweep pays it once and
-//! runs phase 2 per variant via [`map_lut_prepared`] / [`map_asic_prepared`]
-//! (and [`crate::fusion::map_lut_fused_prepared`] for the fused pipeline).
-//! Every prepared solve is **byte-identical** to the corresponding one-shot
-//! mapper call: preparation is deterministic and thread-invariant, so the
-//! cached artifacts equal freshly built ones, and
-//! [`CoverProblem::with_skeleton`] clones the skeleton per solve so no
-//! per-problem mutation ever reaches the shared copy.
+//! [`CoverSkeleton`] built over it. [`prepare_lut_cover`] and
+//! [`prepare_asic_cover`] are the only places cuts are prepared for a cover.
+//! The one-shot mappers prepare and solve once, moving the skeleton into the
+//! problem; a parameter sweep prepares once and solves per variant via
+//! [`map_lut_prepared`] / [`map_asic_prepared`] (and
+//! [`crate::fusion::map_lut_fused_prepared`]), which clone the skeleton per
+//! solve so no per-problem mutation reaches the shared copy. Every prepared
+//! solve is therefore **byte-identical** to the one-shot call;
 //! `tests/service_warm_start.rs` in `mch_core` pins this end to end.
 
 use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
@@ -65,7 +65,8 @@ impl<C> PreparedCover<C> {
 }
 
 /// Runs the preparation phase of [`map_lut`](crate::map_lut): cut enumeration
-/// with the unit cost model, compaction, and K-LUT candidate enumeration.
+/// with the unit cost model (exact for LUTs: one level, one LUT per cut),
+/// compaction, and K-LUT candidate enumeration.
 ///
 /// Of `params`, only `cut_limit`, `cut_ranking` and `threads` reach this
 /// phase — and `threads` never changes the result (enumeration is
@@ -84,6 +85,10 @@ pub fn prepare_lut_cover(
         &CutCostModel::unit(),
         params.threads,
     );
+    // Choice transfer leaves dead spans behind (`commit_extension` cannot
+    // always rewrite in place); reclaim them before covering so the arena —
+    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
+    // is dense. `compact` preserves every node's cut list byte-for-byte.
     cuts.compact();
     let skeleton = {
         let target = LutTarget::new(lut, &cuts);

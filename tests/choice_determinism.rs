@@ -181,9 +181,12 @@ fn fused_flows_are_identical_across_thread_counts() {
     // guide cover's selection feeds candidate injection and ranking bias.
     // Every fusion mode must still be byte-identical at every thread count,
     // and Off must be byte-identical to the plain LUT flow.
-    use mch::core::{lut_flow_mch_fused, FusionMode};
+    use mch::core::{try_lut_flow_mch_fused, FusionMode};
     let lib = asap7_lite();
     let lut = LutLibrary::k6();
+    let fused_flow = |net: &Network, config: &MchConfig| {
+        try_lut_flow_mch_fused(net, &lut, &lib, config).expect("valid inputs map")
+    };
     for i in 0..3 {
         let net = arbitrary_network(i);
         let plain_serial = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1));
@@ -191,7 +194,7 @@ fn fused_flows_are_identical_across_thread_counts() {
             let config = |threads: usize| {
                 MchConfig::lut_fusion().with_fusion(mode).with_threads(threads)
             };
-            let serial = lut_flow_mch_fused(&net, &lut, &lib, &config(1));
+            let serial = fused_flow(&net, &config(1));
             assert!(serial.verified, "case {i} ({mode:?}): not equivalent");
             if mode == FusionMode::Off {
                 assert_eq!(
@@ -200,7 +203,7 @@ fn fused_flows_are_identical_across_thread_counts() {
                 );
             }
             for threads in THREAD_COUNTS {
-                let fused = lut_flow_mch_fused(&net, &lut, &lib, &config(threads));
+                let fused = fused_flow(&net, &config(threads));
                 assert_eq!(
                     serial.netlist, fused.netlist,
                     "case {i} ({mode:?}): {threads}-thread fused flow diverged"

@@ -6,7 +6,9 @@
 //! `DegradationReport`, and an output that still passes combinational
 //! equivalence checking against the input.
 
-use mch::core::{DegradationStep, FlowBudget, MchConfig, StrategyClass};
+use mch::core::{
+    DegradationStep, FlowBudget, Job, LutFlowResult, MappingService, MchConfig, StrategyClass,
+};
 use mch::benchmarks::demo_adder_gt;
 use mch::techlib::{asap7_lite, LutLibrary};
 use mch::io::{write_lut_blif, write_verilog};
@@ -100,14 +102,53 @@ fn degraded_parallel_commit_is_identical_at_every_thread_count() {
     }
 }
 
+/// The ladder `lut_area` walks under [`breaching_budget`] on the demo
+/// circuit. `lut_area` starts from cut_limit 8, 3 candidates per node, one
+/// level and one area strategy entry, and snapshot mixing on. A zero
+/// candidate cap plus a 2-slots-per-node arena cap walks the entire ladder
+/// in its fixed order; the mapper's cut limit is then re-shrunk against the
+/// (larger) choice network.
+fn lut_area_ladder() -> Vec<DegradationStep> {
+    vec![
+        DegradationStep::CutLimitShrunk { from: 8, to: 4 },
+        DegradationStep::CutLimitShrunk { from: 4, to: 2 },
+        DegradationStep::CandidateCapReduced { from: 3, to: 1 },
+        DegradationStep::StrategyDropped {
+            library: StrategyClass::Area,
+            remaining: 0,
+        },
+        DegradationStep::StrategyDropped {
+            library: StrategyClass::Level,
+            remaining: 0,
+        },
+        DegradationStep::ResynthesisDisabled,
+        DegradationStep::SnapshotsDropped,
+        DegradationStep::CutLimitShrunk { from: 8, to: 4 },
+        DegradationStep::CutLimitShrunk { from: 4, to: 2 },
+    ]
+}
+
+/// Runs the fused LUT flow as a budgeted service job.
+fn fused_job(config: MchConfig, budget: FlowBudget) -> LutFlowResult {
+    let job = Job::lut_fused(
+        "fused",
+        demo_adder_gt(),
+        LutLibrary::k6(),
+        asap7_lite(),
+        config,
+    )
+    .with_budget(budget);
+    let output = MappingService::new()
+        .run(job)
+        .outcome
+        .expect("breached budgets degrade, they do not fail");
+    output.as_lut().expect("a LUT job returns a LUT result").clone()
+}
+
 #[test]
 fn forced_breach_report_is_pinned() {
-    // `lut_area` starts from cut_limit 8, 3 candidates per node, one level
-    // and one area strategy entry, and snapshot mixing on. A zero candidate
-    // cap plus a 2-slots-per-node arena cap walks the entire ladder in its
-    // fixed order; the mapper's cut limit is then re-shrunk against the
-    // (larger) choice network. This exact sequence is the contract — an
-    // unintended reorder of the ladder must fail this pin.
+    // This exact sequence is the contract — an unintended reorder of the
+    // ladder must fail this pin.
     let net = demo_adder_gt();
     let lut = LutLibrary::k6();
     let budget = breaching_budget(net.len());
@@ -118,25 +159,96 @@ fn forced_breach_report_is_pinned() {
     assert!(!report.deadline_breached);
     assert_eq!(
         report.steps,
+        lut_area_ladder(),
+        "the degradation ladder took an unexpected path"
+    );
+}
+
+#[test]
+fn asic_breach_report_is_pinned() {
+    // `area_oriented` carries two area strategy entries, so the ladder drops
+    // area entries twice before the level entry.
+    let net = demo_adder_gt();
+    let lib = asap7_lite();
+    let budget = breaching_budget(net.len());
+    let result =
+        mch::core::try_asic_flow_mch_with_budget(&net, &lib, &MchConfig::area_oriented(), &budget)
+            .expect("flow must degrade, not fail");
+    assert!(!result.degradation.deadline_breached);
+    assert_eq!(
+        result.degradation.steps,
         vec![
             DegradationStep::CutLimitShrunk { from: 8, to: 4 },
             DegradationStep::CutLimitShrunk { from: 4, to: 2 },
             DegradationStep::CandidateCapReduced { from: 3, to: 1 },
             DegradationStep::StrategyDropped {
                 library: StrategyClass::Area,
-                remaining: 0
+                remaining: 1,
+            },
+            DegradationStep::StrategyDropped {
+                library: StrategyClass::Area,
+                remaining: 0,
             },
             DegradationStep::StrategyDropped {
                 library: StrategyClass::Level,
-                remaining: 0
+                remaining: 0,
             },
             DegradationStep::ResynthesisDisabled,
             DegradationStep::SnapshotsDropped,
             DegradationStep::CutLimitShrunk { from: 8, to: 4 },
             DegradationStep::CutLimitShrunk { from: 4, to: 2 },
         ],
-        "the degradation ladder took an unexpected path"
+        "the ASIC degradation ladder took an unexpected path"
     );
+}
+
+#[test]
+fn plain_lut_flow_takes_no_fusion_rung() {
+    // The plain LUT flow ignores `config.fusion`: under `lut_fusion` it walks
+    // the `lut_area` ladder and maps the same netlist.
+    let net = demo_adder_gt();
+    let lut = LutLibrary::k6();
+    let budget = breaching_budget(net.len());
+    let area =
+        mch::core::try_lut_flow_mch_with_budget(&net, &lut, &MchConfig::lut_area(), &budget)
+            .expect("flow must degrade, not fail");
+    let fusion =
+        mch::core::try_lut_flow_mch_with_budget(&net, &lut, &MchConfig::lut_fusion(), &budget)
+            .expect("flow must degrade, not fail");
+    assert!(!fusion.degradation.deadline_breached);
+    assert_eq!(fusion.degradation.steps, lut_area_ladder());
+    assert_eq!(write_lut_blif(&fusion.netlist), write_lut_blif(&area.netlist));
+}
+
+#[test]
+fn fused_breach_report_is_pinned() {
+    // The fused flow walks the `lut_area` ladder, then drops fusion: the
+    // guide pass's second cut arena cannot fit the slot cap.
+    let net = demo_adder_gt();
+    let result = fused_job(MchConfig::lut_fusion(), breaching_budget(net.len()));
+    let mut expected = lut_area_ladder();
+    expected.push(DegradationStep::FusionDropped);
+    assert!(!result.degradation.deadline_breached);
+    assert_eq!(
+        result.degradation.steps, expected,
+        "the fused degradation ladder took an unexpected path"
+    );
+    assert!(result.verified);
+}
+
+#[test]
+fn zero_deadline_drops_fusion_before_the_fallback() {
+    let budget = FlowBudget::unlimited().with_deadline(Duration::ZERO);
+    let result = fused_job(MchConfig::lut_fusion(), budget);
+    assert!(result.degradation.deadline_breached);
+    assert_eq!(
+        result.degradation.steps,
+        vec![
+            DegradationStep::FusionDropped,
+            DegradationStep::DeadlineFallback
+        ]
+    );
+    assert!(result.verified, "the fallback mapping must still verify");
 }
 
 #[test]
