@@ -357,6 +357,29 @@ impl Cut {
         cut
     }
 
+    /// Creates an enumerated cut from a merged leaf buffer and the signature
+    /// the merge already computed (the OR of the merged cuts' signatures,
+    /// which is the merged leaves' signature).
+    #[inline]
+    pub(crate) fn from_merge(
+        root: NodeId,
+        leaves: &LeafBuf,
+        signature: u64,
+        function: TruthTable,
+        costs: CutCosts,
+    ) -> Self {
+        debug_assert_eq!(signature, signature_of(leaves));
+        debug_assert_eq!(function.num_vars(), leaves.len());
+        Cut {
+            root,
+            len: leaves.len,
+            leaves: leaves.items,
+            signature,
+            function,
+            costs,
+        }
+    }
+
     /// The trivial cut `{node}` whose function is the projection of its leaf.
     pub fn trivial(node: NodeId) -> Self {
         Cut::new(node, &[node], TruthTable::var(1, 0))

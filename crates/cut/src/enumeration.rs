@@ -224,15 +224,12 @@ impl NetworkCuts {
     }
 
     /// Approximate heap footprint of this cut set in bytes: the arena
-    /// (including each cut function's heap words), spans, per-node costs and
-    /// fanout estimates. Used by the warm-start cache's byte accounting — an
-    /// estimate for capacity decisions, not an allocator-exact count.
+    /// (plus the heap words of cut functions over more than six leaves —
+    /// an inline function lives inside its [`Cut`]), spans, per-node costs
+    /// and fanout estimates. Used by the warm-start cache's byte accounting —
+    /// an estimate for capacity decisions, not an allocator-exact count.
     pub fn approx_bytes(&self) -> usize {
-        let cut_heap: usize = self
-            .arena
-            .iter()
-            .map(|c| c.function().words().len() * 8)
-            .sum();
+        let cut_heap: usize = self.arena.iter().map(|c| c.function().heap_bytes()).sum();
         self.arena.capacity() * std::mem::size_of::<Cut>()
             + cut_heap
             + self.spans.capacity() * std::mem::size_of::<(u32, u32)>()
@@ -251,18 +248,34 @@ impl NetworkCuts {
     /// is copied). Worth calling after a choice transfer on very
     /// choice-heavy, memory-bound runs; plain enumeration never needs it.
     pub fn compact(&mut self) -> usize {
-        let live: usize = self.spans.iter().map(|&(_, len)| len as usize).sum();
+        self.retain_first(self.spans.len())
+    }
+
+    /// [`compact`](NetworkCuts::compact) that keeps only the cut lists of
+    /// nodes `0..nodes` and empties every later node's span — the mappers
+    /// keep the representatives' lists (a choice network's original nodes
+    /// come first) and drop the choice nodes' once their cuts are
+    /// transferred.
+    ///
+    /// Kept nodes' [`of`](NetworkCuts::of) slices are byte-identical before
+    /// and after; per-node costs and fanout estimates are untouched. Returns
+    /// the number of arena slots released: dropped cuts plus waste.
+    pub fn retain_first(&mut self, nodes: usize) -> usize {
+        let nodes = nodes.min(self.spans.len());
+        let (kept, dropped) = self.spans.split_at_mut(nodes);
+        let live: usize = kept.iter().map(|&(_, len)| len as usize).sum();
         let reclaimed = self.arena.len() - live;
         if reclaimed == 0 {
             self.wasted = 0;
             return 0;
         }
         let mut arena: Vec<Cut> = Vec::with_capacity(live);
-        for span in &mut self.spans {
+        for span in kept {
             let (start, len) = *span;
             *span = (arena.len() as u32, len);
             arena.extend_from_slice(&self.arena[start as usize..(start + len) as usize]);
         }
+        dropped.fill((0, 0));
         self.arena = arena;
         self.wasted = 0;
         reclaimed
@@ -308,19 +321,16 @@ impl NetworkCuts {
     }
 }
 
-/// Computes the table of one fanin over the merged leaf ordering, negating it
-/// when the fanin edge is complemented. The placement is built with a linear
-/// two-pointer scan (both leaf lists are sorted) into a stack array; the
-/// remap itself is the mask-doubling "stretch" fast path whenever the merged
-/// cut has at most six leaves (see [`TruthTable::remap_vars`]).
+/// Merged cuts of at most this many leaves are composed on one inline
+/// `u64` (the width of an inline [`TruthTable`]).
+const WORD_LEAVES: usize = 6;
+
+/// Where each leaf of a fanin cut sits in the merged leaf ordering: a linear
+/// two-pointer scan (both leaf lists are sorted) into a stack array. The
+/// bounds-checked scan is the release guard against a leaf missing from the
+/// merge.
 #[inline]
-fn fanin_table(sig: Signal, cut: &Cut, leaves: &[NodeId]) -> TruthTable {
-    let nvars = leaves.len();
-    if cut.size() == 0 {
-        // Constant cut: the fanin is the constant-false node (possibly seen
-        // through a complemented edge).
-        return TruthTable::constant(nvars, sig.is_complement());
-    }
+fn placement(cut: &Cut, leaves: &[NodeId]) -> [usize; MAX_CUT_SIZE] {
     let mut placement = [0usize; MAX_CUT_SIZE];
     let mut j = 0;
     for (i, l) in cut.leaves().iter().enumerate() {
@@ -329,6 +339,38 @@ fn fanin_table(sig: Signal, cut: &Cut, leaves: &[NodeId]) -> TruthTable {
         }
         placement[i] = j;
     }
+    debug_assert!(placement[..cut.size()].windows(2).all(|w| w[0] < w[1]));
+    placement
+}
+
+/// The word of one fanin's table over a merged ordering of at most six
+/// leaves, negated when the fanin edge is complemented. High bits past the
+/// merged table are don't-cares: [`TruthTable::from_u64`] masks them once
+/// the fanins are combined. The constant cut's empty table stretches to the
+/// all-zero word, so it needs no special case.
+#[inline]
+fn fanin_word(sig: Signal, cut: &Cut, leaves: &[NodeId]) -> u64 {
+    let placement = placement(cut, leaves);
+    let word = cut
+        .function()
+        .remap_word(leaves.len(), &placement[..cut.size()]);
+    if sig.is_complement() {
+        !word
+    } else {
+        word
+    }
+}
+
+/// The table of one fanin over a merged ordering of seven or eight leaves,
+/// negated when the fanin edge is complemented.
+fn fanin_table(sig: Signal, cut: &Cut, leaves: &[NodeId]) -> TruthTable {
+    let nvars = leaves.len();
+    if cut.size() == 0 {
+        // Constant cut: the fanin is the constant-false node (possibly seen
+        // through a complemented edge).
+        return TruthTable::constant(nvars, sig.is_complement());
+    }
+    let placement = placement(cut, leaves);
     let t = cut.function().remap_vars(nvars, &placement[..cut.size()]);
     if sig.is_complement() {
         t.not()
@@ -338,24 +380,33 @@ fn fanin_table(sig: Signal, cut: &Cut, leaves: &[NodeId]) -> TruthTable {
 }
 
 /// Computes the function of `root` over the merged `leaves`, given the cut
-/// functions of its fanins. No intermediate collections are built; the two or
-/// three fanin tables are composed directly.
+/// functions of its fanins. Up to six leaves the two or three fanin words
+/// are combined with `&`, `^` or majority and the table is built once;
+/// wider merges compose heap tables.
 fn compose_function(
     kind: GateKind,
     fanins: &[Signal],
     fanin_cuts: &[&Cut],
     leaves: &[NodeId],
 ) -> TruthTable {
+    if leaves.len() <= WORD_LEAVES {
+        let w = |i: usize| fanin_word(fanins[i], fanin_cuts[i], leaves);
+        let word = match kind {
+            GateKind::And2 => w(0) & w(1),
+            GateKind::Xor2 => w(0) ^ w(1),
+            GateKind::Maj3 => {
+                let (a, b, c) = (w(0), w(1), w(2));
+                (a & b) | (a & c) | (b & c)
+            }
+            _ => unreachable!("only gates are composed"),
+        };
+        return TruthTable::from_u64(leaves.len(), word);
+    }
+    let t = |i: usize| fanin_table(fanins[i], fanin_cuts[i], leaves);
     match kind {
-        GateKind::And2 => fanin_table(fanins[0], fanin_cuts[0], leaves)
-            .and(&fanin_table(fanins[1], fanin_cuts[1], leaves)),
-        GateKind::Xor2 => fanin_table(fanins[0], fanin_cuts[0], leaves)
-            .xor(&fanin_table(fanins[1], fanin_cuts[1], leaves)),
-        GateKind::Maj3 => TruthTable::maj(
-            &fanin_table(fanins[0], fanin_cuts[0], leaves),
-            &fanin_table(fanins[1], fanin_cuts[1], leaves),
-            &fanin_table(fanins[2], fanin_cuts[2], leaves),
-        ),
+        GateKind::And2 => t(0).and(&t(1)),
+        GateKind::Xor2 => t(0).xor(&t(1)),
+        GateKind::Maj3 => TruthTable::maj(&t(0), &t(1), &t(2)),
         _ => unreachable!("only gates are composed"),
     }
 }
@@ -683,7 +734,7 @@ pub(crate) fn enumerate_node(
                 &p.leaves,
             ),
         };
-        final_cuts.push(Cut::with_costs(id, &p.leaves, f, p.costs));
+        final_cuts.push(Cut::from_merge(id, &p.leaves, p.signature, f, p.costs));
     }
     // The trivial cut is always available as a fallback; it carries the
     // node's best estimates (using it does not change depth or flow).
@@ -1046,6 +1097,49 @@ mod tests {
         }
         // Compacting twice is a no-op.
         assert_eq!(cuts.compact(), 0);
+    }
+
+    #[test]
+    fn retain_first_keeps_the_prefix_and_empties_the_rest() {
+        let (n, _, _) = adder_bit();
+        let mut cuts = enumerate_cuts(&n, &CutParams::default());
+        let before: Vec<Vec<Cut>> = (0..n.len())
+            .map(|i| cuts.of(NodeId::from_index(i)).to_vec())
+            .collect();
+        let keep = n.len() - 2;
+        let dropped: usize = before[keep..].iter().map(Vec::len).sum();
+        assert!(dropped > 0, "the last two nodes are gates with cuts");
+        assert_eq!(cuts.retain_first(keep), dropped);
+        assert_eq!(cuts.wasted_slots(), 0);
+        assert_eq!(cuts.total_cuts(), cuts.arena.len());
+        assert_eq!(cuts.arena.capacity(), cuts.arena.len());
+        for (i, old) in before.iter().enumerate() {
+            let new = cuts.of(NodeId::from_index(i));
+            if i < keep {
+                assert_eq!(old.as_slice(), new, "node {i} changed its cuts");
+                for (a, b) in old.iter().zip(new) {
+                    assert_eq!(a.signature(), b.signature());
+                    assert_eq!(a.costs().flow.to_bits(), b.costs().flow.to_bits());
+                }
+            } else {
+                assert!(new.is_empty(), "node {i} kept its cuts");
+            }
+        }
+        assert_eq!(cuts.retain_first(keep), 0);
+    }
+
+    #[test]
+    fn approx_bytes_counts_no_heap_for_inline_functions() {
+        let (n, _, _) = adder_bit();
+        let cuts = enumerate_cuts(&n, &CutParams::default());
+        assert!(cuts.arena.iter().all(|c| c.function().is_inline()));
+        assert_eq!(
+            cuts.approx_bytes(),
+            cuts.arena.capacity() * std::mem::size_of::<Cut>()
+                + cuts.spans.capacity() * std::mem::size_of::<(u32, u32)>()
+                + cuts.node_costs.capacity() * std::mem::size_of::<CutCosts>()
+                + cuts.fanout_est.capacity() * std::mem::size_of::<f32>()
+        );
     }
 
     #[test]

@@ -191,6 +191,17 @@ impl TruthTable {
         matches!(self.repr, Repr::Small(_))
     }
 
+    /// Heap bytes this table owns: none when inline (the word lives inside
+    /// the table itself), the word vector otherwise. For byte accounting of
+    /// structures that hold tables.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Small(_) => 0,
+            Repr::Big(v) => v.len() * 8,
+        }
+    }
+
     /// Number of input variables.
     #[inline]
     pub fn num_vars(&self) -> usize {
@@ -379,8 +390,22 @@ impl TruthTable {
 
     /// Shrinks the table onto its support, returning the reduced table and the
     /// support variables (in ascending order) it now ranges over.
+    ///
+    /// An inline table never leaves its word: each support variable moves
+    /// down to its packed position by adjacent swaps (the remap's stretch in
+    /// reverse — every slot it crosses holds a variable the function ignores),
+    /// and the word is masked to the support's `2^m` bits. Wider tables walk
+    /// the minterms.
     pub fn shrink_to_support(&self) -> (TruthTable, Vec<usize>) {
         let support = self.support();
+        if let Repr::Small(mut w) = self.repr {
+            for (new, &old) in support.iter().enumerate() {
+                for p in (new..old).rev() {
+                    w = swap_adjacent_u64(w, p);
+                }
+            }
+            return (TruthTable::from_u64(support.len(), w), support);
+        }
         let mut t = TruthTable::zeros(support.len());
         for i in 0..t.num_bits() {
             let mut full = 0usize;
@@ -430,6 +455,30 @@ impl TruthTable {
             t.set_bit(i, self.bit(old));
         }
         t
+    }
+
+    /// The word of [`remap_vars`](TruthTable::remap_vars) onto
+    /// `new_num_vars <= 6` variables, without building the table: callers
+    /// that combine several remapped operands (cut composition) stay on
+    /// machine words and build one table at the end with
+    /// [`from_u64`](TruthTable::from_u64). Bits above `2^new_num_vars` are
+    /// zero.
+    ///
+    /// The placement is checked only by debug assertions (in range,
+    /// distinct), so the caller vouches for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than six variables.
+    #[inline]
+    pub fn remap_word(&self, new_num_vars: usize, placement: &[usize]) -> u64 {
+        debug_assert_eq!(placement.len(), self.num_vars());
+        debug_assert!(placement.iter().all(|&p| p < new_num_vars));
+        debug_assert!(placement
+            .iter()
+            .enumerate()
+            .all(|(i, p)| !placement[..i].contains(p)));
+        remap_u64(self.as_u64(), placement, new_num_vars)
     }
 
     /// Permutes the input variables: new variable `i` reads old variable
@@ -732,6 +781,72 @@ mod tests {
         assert_eq!(support, vec![1, 3]);
         assert_eq!(g.num_vars(), 2);
         assert_eq!(g.as_u64(), 0x6);
+    }
+
+    /// The retired per-minterm shrink, kept as the reference semantics for
+    /// the word-level swaps of the inline path.
+    fn shrink_to_support_reference(t: &TruthTable) -> (TruthTable, Vec<usize>) {
+        let support = t.support();
+        let mut out = TruthTable::zeros(support.len());
+        for i in 0..out.num_bits() {
+            let mut full = 0usize;
+            for (new, &old) in support.iter().enumerate() {
+                if i & (1 << new) != 0 {
+                    full |= 1 << old;
+                }
+            }
+            out.set_bit(i, t.bit(full));
+        }
+        (out, support)
+    }
+
+    fn assert_shrink_matches_reference(t: &TruthTable) {
+        assert_eq!(
+            t.shrink_to_support(),
+            shrink_to_support_reference(t),
+            "shrink of {t:?}"
+        );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; release only")]
+    fn shrink_to_support_matches_reference_on_every_function_up_to_four_inputs() {
+        for vars in 0..=4usize {
+            for bits in 0..1u64 << (1 << vars) {
+                assert_shrink_matches_reference(&TruthTable::from_u64(vars, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_to_support_matches_reference_on_sampled_five_and_six_input_functions() {
+        let mut rng = crate::Prng::seed_from_u64(0x5348_5249_4E4B);
+        for vars in [5usize, 6] {
+            for _ in 0..2000 {
+                let t = TruthTable::from_u64(vars, rng.next_u64());
+                assert_shrink_matches_reference(&t);
+                // Sparse supports: cofactor random variables away so the
+                // swaps have gaps to close.
+                let mut sparse = t.clone();
+                for v in 0..vars {
+                    if rng.next_u64() & 1 == 0 {
+                        sparse = sparse.cofactor0(v);
+                    }
+                }
+                assert_shrink_matches_reference(&sparse);
+            }
+        }
+    }
+
+    #[test]
+    fn shrink_of_a_constant_has_no_variables() {
+        for vars in 0..=6usize {
+            for value in [false, true] {
+                let (t, support) = TruthTable::constant(vars, value).shrink_to_support();
+                assert!(support.is_empty());
+                assert_eq!(t, TruthTable::constant(0, value), "vars={vars}");
+            }
+        }
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl MatchCandidate {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.leaves.capacity() * std::mem::size_of::<NodeId>()
-            + self.function.words().len() * 8
+            + self.function.heap_bytes()
             + self.pin_perm.capacity() * std::mem::size_of::<usize>()
     }
 }
@@ -265,32 +265,13 @@ impl CoverTarget for AsicTarget<'_> {
             if reduced.num_vars() == 0 {
                 continue;
             }
-            let leaves: Vec<NodeId> = support.iter().map(|&i| cut_leaves[i]).collect();
-            let matches = library.matches(&reduced);
-            if matches.is_empty() {
+            // Keep the best-area and best-delay match of this cut's function
+            // (chosen once per function by the library index).
+            let Some((best_area, best_delay)) = library.best_matches(&reduced) else {
                 continue;
-            }
-            // Keep the best-area and best-delay match of this cut.
-            let mut best_area: Option<&mch_techlib::CellMatch> = None;
-            let mut best_delay: Option<&mch_techlib::CellMatch> = None;
-            for m in matches {
-                let area = library.cell(m.cell()).area() + m.inverter_count() as f64 * inv_area;
-                let delay = library.cell(m.cell()).delay()
-                    + if m.inverter_count() > 0 { inv_delay } else { 0.0 };
-                if best_area.is_none_or(|b| {
-                    area < library.cell(b.cell()).area() + b.inverter_count() as f64 * inv_area
-                }) {
-                    best_area = Some(m);
-                }
-                if best_delay.is_none_or(|b| {
-                    delay
-                        < library.cell(b.cell()).delay()
-                            + if b.inverter_count() > 0 { inv_delay } else { 0.0 }
-                }) {
-                    best_delay = Some(m);
-                }
-            }
-            for m in [best_area, best_delay].into_iter().flatten() {
+            };
+            let leaves: Vec<NodeId> = support.iter().map(|&i| cut_leaves[i]).collect();
+            for m in [best_area, best_delay] {
                 let cand = MatchCandidate {
                     leaves: leaves.clone(),
                     function: reduced.clone(),

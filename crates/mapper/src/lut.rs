@@ -149,7 +149,7 @@ impl LutCandidate {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.leaves.capacity() * std::mem::size_of::<NodeId>()
-            + self.function.words().len() * 8
+            + self.function.heap_bytes()
     }
 }
 

@@ -43,12 +43,34 @@ impl MappingObjective {
     }
 }
 
+/// Every mixed-network node's leaf resolution for choice transfer: an
+/// original node resolves to itself in positive phase, a choice node to its
+/// representative and phase, and any other node to `None`. Built once per
+/// [`prepare_cuts`] call, so resolving a leaf of an inherited cut is one
+/// indexed load rather than a `BTreeMap` lookup
+/// ([`ChoiceNetwork::repr_of`]).
+pub(crate) fn leaf_representatives(choice: &ChoiceNetwork) -> Vec<Option<(NodeId, bool)>> {
+    let mut table: Vec<Option<(NodeId, bool)>> = (0..choice.network().len())
+        .map(|i| {
+            let id = NodeId::from_index(i);
+            choice.is_original(id).then_some((id, false))
+        })
+        .collect();
+    for repr in choice.representatives() {
+        for &(node, phase) in choice.choices_of(repr) {
+            table[node.index()] = Some((repr, phase));
+        }
+    }
+    table
+}
+
 /// Remaps a cut inherited from a choice node onto representative-level leaves.
 ///
 /// Every leaf is replaced by its representative (flipping the corresponding
-/// truth-table variable when the choice phase is complemented); leaves without
-/// a representative that are not part of the original structure make the cut
-/// unusable and `None` is returned. Duplicate leaves after remapping are
+/// truth-table variable when the choice phase is complemented), read from
+/// the [`leaf_representatives`] table of the choice network; leaves without
+/// a representative that are not part of the original structure make the
+/// cut unusable and `None` is returned. Duplicate leaves after remapping are
 /// merged by identifying the corresponding variables.
 ///
 /// The whole remap runs on stack buffers: leaves resolve into fixed
@@ -59,7 +81,7 @@ impl MappingObjective {
 /// `Vec`-collecting implementation this replaced.
 pub(crate) fn remap_choice_cut(
     cut: &Cut,
-    choice: &ChoiceNetwork,
+    leaf_reprs: &[Option<(NodeId, bool)>],
     repr: NodeId,
     phase: bool,
 ) -> Option<Cut> {
@@ -69,14 +91,7 @@ pub(crate) fn remap_choice_cut(
     let mut nodes = [NodeId::CONST0; MAX_CUT_SIZE];
     let mut phases = [false; MAX_CUT_SIZE];
     for (i, &leaf) in cut.leaves().iter().enumerate() {
-        if choice.is_original(leaf) {
-            nodes[i] = leaf;
-        } else if let Some((r, p)) = choice.repr_of(leaf) {
-            nodes[i] = r;
-            phases[i] = p;
-        } else {
-            return None;
-        }
+        (nodes[i], phases[i]) = leaf_reprs[leaf.index()]?;
         if nodes[i].index() >= repr.index() {
             return None;
         }
@@ -197,6 +212,7 @@ pub fn prepare_cuts(
         .iter()
         .all(|bucket| bucket.windows(2).all(|w| w[0] < w[1])));
 
+    let leaf_reprs = leaf_representatives(choice);
     let shared = std::sync::RwLock::new(cuts);
     level_parallel(
         &repr_levels,
@@ -215,7 +231,8 @@ pub fn prepare_cuts(
                         if cut.size() > cut_size {
                             continue;
                         }
-                        if let Some(mut remapped) = remap_choice_cut(cut, choice, repr, phase) {
+                        if let Some(mut remapped) = remap_choice_cut(cut, &leaf_reprs, repr, phase)
+                        {
                             if remapped.size() <= cut_size && !remapped.is_trivial() {
                                 remapped.set_costs(cuts.leaf_costs(remapped.leaves()));
                                 inherited.push(remapped);
@@ -434,11 +451,12 @@ mod tests {
             let net = sample();
             let mch = build_mch(&net, &params);
             let cuts = enumerate_cuts_with_model(mch.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+            let leaf_reprs = leaf_representatives(&mch);
             let mut checked = 0usize;
             for repr in mch.representatives() {
                 for &(choice_node, phase) in mch.choices_of(repr) {
                     for cut in cuts.of(choice_node).iter() {
-                        let fast = remap_choice_cut(cut, &mch, repr, phase);
+                        let fast = remap_choice_cut(cut, &leaf_reprs, repr, phase);
                         let slow = remap_choice_cut_reference(cut, &mch, repr, phase);
                         match (&fast, &slow) {
                             (None, None) => {}
@@ -482,11 +500,12 @@ mod tests {
         assert!(choice.add_choice(g1.node(), d1));
         assert!(choice.add_choice(h.node(), e));
         let cuts = enumerate_cuts_with_model(choice.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+        let leaf_reprs = leaf_representatives(&choice);
         let mut duplicate_seen = false;
         for repr in choice.representatives() {
             for &(choice_node, phase) in choice.choices_of(repr) {
                 for cut in cuts.of(choice_node).iter() {
-                    let fast = remap_choice_cut(cut, &choice, repr, phase);
+                    let fast = remap_choice_cut(cut, &leaf_reprs, repr, phase);
                     let slow = remap_choice_cut_reference(cut, &choice, repr, phase);
                     if let Some(f) = &fast {
                         duplicate_seen |= f.size() < cut.size();

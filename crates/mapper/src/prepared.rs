@@ -11,8 +11,8 @@
 //!    the only phase that sees `area_rounds`, `exact_area`, objectives or
 //!    memoisation.
 //!
-//! A [`PreparedCover`] captures phase 1 — the compacted cut set plus the
-//! [`CoverSkeleton`] built over it. [`prepare_lut_cover`] and
+//! A [`PreparedCover`] captures phase 1 — the representatives' cut lists
+//! plus the [`CoverSkeleton`] built over them. [`prepare_lut_cover`] and
 //! [`prepare_asic_cover`] are the only places cuts are prepared for a cover.
 //! The one-shot mappers prepare and solve once, moving the skeleton into the
 //! problem; a parameter sweep prepares once and solves per variant via
@@ -32,7 +32,13 @@ use mch_cut::{CutCostModel, NetworkCuts};
 use mch_techlib::{Library, LutLibrary};
 
 /// The params-independent artifact of one mapper over one choice network:
-/// the compacted cut set and the candidate skeleton enumerated from it.
+/// the cut lists of the original (representative) nodes and the candidate
+/// skeleton enumerated from them.
+///
+/// Only those lists are kept: [`CoverSkeleton::build`] reads the cuts of
+/// original gates alone, and no solve, fusion harvest or emitter reads a cut
+/// after it. Every choice node's span is empty — its cuts were transferred
+/// onto its representative before the skeleton was built.
 ///
 /// Build via [`prepare_lut_cover`] / [`prepare_asic_cover`] /
 /// [`crate::fusion::prepare_fusion_guide`]; solve any number of times via the
@@ -45,7 +51,8 @@ pub struct PreparedCover<C> {
 }
 
 impl<C> PreparedCover<C> {
-    /// The compacted cut set the skeleton was enumerated from.
+    /// The cut set the skeleton was enumerated from: the original nodes'
+    /// lists, densely packed; every other node's list is empty.
     pub fn cuts(&self) -> &NetworkCuts {
         &self.cuts
     }
@@ -66,7 +73,8 @@ impl<C> PreparedCover<C> {
 
 /// Runs the preparation phase of [`map_lut`](crate::map_lut): cut enumeration
 /// with the unit cost model (exact for LUTs: one level, one LUT per cut),
-/// compaction, and K-LUT candidate enumeration.
+/// choice transfer, compaction to the representatives' cut lists, and K-LUT
+/// candidate enumeration.
 ///
 /// Of `params`, only `cut_limit`, `cut_ranking` and `threads` reach this
 /// phase — and `threads` never changes the result (enumeration is
@@ -86,10 +94,10 @@ pub fn prepare_lut_cover(
         params.threads,
     );
     // Choice transfer leaves dead spans behind (`commit_extension` cannot
-    // always rewrite in place); reclaim them before covering so the arena —
-    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
-    // is dense. `compact` preserves every node's cut list byte-for-byte.
-    cuts.compact();
+    // always rewrite in place), and the choice nodes' own lists are spent
+    // once transferred. Keep the original nodes' lists, densely packed and
+    // byte-for-byte unchanged — the only ones the skeleton reads.
+    cuts.retain_first(choice.original_len());
     let skeleton = {
         let target = LutTarget::new(lut, &cuts);
         CoverSkeleton::build(choice, &target)
@@ -114,8 +122,9 @@ pub fn map_lut_prepared(
 }
 
 /// Runs the preparation phase of [`map_asic`](crate::map_asic): cut
-/// enumeration with the [`library_cost_model`] ranking, compaction, and
-/// Boolean matching of every cut against the library.
+/// enumeration with the [`library_cost_model`] ranking, choice transfer,
+/// compaction to the representatives' cut lists, and Boolean matching of
+/// every cut against the library.
 ///
 /// Of `params`, only `cut_limit`, `cut_ranking` and `threads` reach this
 /// phase; `threads` never changes the result, so a cache key needs only the
@@ -134,7 +143,7 @@ pub fn prepare_asic_cover(
         &library_cost_model(library),
         params.threads,
     );
-    cuts.compact();
+    cuts.retain_first(choice.original_len());
     let skeleton = {
         let target = AsicTarget::new(library, &cuts);
         CoverSkeleton::build(choice, &target)

@@ -50,12 +50,14 @@ impl CellMatch {
 /// The index enumerates, for every cell, every input permutation, input
 /// polarity and output polarity, and maps the resulting truth table to the
 /// corresponding [`CellMatch`]. ASIC mapping then matches a cut by a single
-/// hash lookup of its (support-reduced) function.
+/// hash lookup of its (support-reduced) function, and reads that function's
+/// best-area and best-delay matches, chosen once when the index was built
+/// ([`best_matches`](Library::best_matches)).
 #[derive(Clone, Debug, Default)]
 pub struct Library {
     name: String,
     cells: Vec<Cell>,
-    index: HashMap<TruthTable, Vec<CellMatch>>,
+    index: HashMap<TruthTable, MatchBucket>,
     inverter: Option<CellId>,
     max_inputs: usize,
 }
@@ -149,19 +151,21 @@ impl Library {
         let n = cell.num_inputs();
         self.max_inputs = self.max_inputs.max(n);
         // Track the cheapest inverter.
-        if n == 1 && cell.function() == &TruthTable::var(1, 0).not() {
-            let better = match self.inverter {
-                None => true,
-                Some(existing) => cell.area() < self.cell(existing).area(),
-            };
-            if better {
-                self.inverter = Some(id);
-            }
+        let new_inverter = n == 1
+            && cell.function() == &TruthTable::var(1, 0).not()
+            && self
+                .inverter
+                .is_none_or(|existing| cell.area() < self.cell(existing).area());
+        let function = cell.function().clone();
+        self.cells.push(cell);
+        if new_inverter {
+            self.inverter = Some(id);
         }
+        let cost = MatchCost::new(&self.cells, self.inverter);
         for perm in permutations(n) {
             for input_neg in 0..(1u32 << n) {
                 for output_neg in [false, true] {
-                    let variant = cell.function().transform(&perm, input_neg, output_neg);
+                    let variant = function.transform(&perm, input_neg, output_neg);
                     let entry = CellMatch {
                         cell: id,
                         perm: perm.clone(),
@@ -169,48 +173,131 @@ impl Library {
                         output_neg,
                     };
                     let bucket = self.index.entry(variant).or_default();
-                    if !bucket.contains(&entry) {
-                        bucket.push(entry);
+                    if !bucket.matches.contains(&entry) {
+                        bucket.push(entry, &cost);
                     }
                 }
             }
         }
-        self.cells.push(cell);
+        if new_inverter {
+            // Every inverter-using match changed cost: choose again.
+            for bucket in self.index.values_mut() {
+                bucket.choose(&cost);
+            }
+        }
         id
     }
 
     /// Returns every way of implementing `function` with one library cell
     /// (plus inverters). The function must be expressed over its support only.
     pub fn matches(&self, function: &TruthTable) -> &[CellMatch] {
-        self.index.get(function).map(Vec::as_slice).unwrap_or(&[])
+        self.index
+            .get(function)
+            .map(|bucket| bucket.matches.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// The cheapest-area and the lowest-delay match of `function`, inverters
+    /// counted (each adds its area; any adds one inverter delay), the first
+    /// of [`matches`](Library::matches) winning a tie. Both are chosen once
+    /// per function when the index is built, so a lookup costs one hash
+    /// probe. `None` when no cell implements `function`.
+    pub fn best_matches(&self, function: &TruthTable) -> Option<(&CellMatch, &CellMatch)> {
+        let bucket = self.index.get(function)?;
+        Some((
+            &bucket.matches[bucket.best_area],
+            &bucket.matches[bucket.best_delay],
+        ))
     }
 
     /// Returns the cheapest-area match for `function`, counting the inverters
     /// each match requires.
     pub fn best_area_match(&self, function: &TruthTable) -> Option<(&CellMatch, f64)> {
-        self.matches(function)
-            .iter()
-            .map(|m| {
-                let cost =
-                    self.cell(m.cell()).area() + m.inverter_count() as f64 * self.inverter_area();
-                (m, cost)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+        let (best, _) = self.best_matches(function)?;
+        Some((
+            best,
+            MatchCost::new(&self.cells, Some(self.inverter())).area(best),
+        ))
     }
 
     /// Returns the lowest-delay match for `function`.
     pub fn best_delay_match(&self, function: &TruthTable) -> Option<(&CellMatch, f64)> {
-        self.matches(function)
-            .iter()
-            .map(|m| {
-                let extra = if m.inverter_count() > 0 {
-                    self.inverter_delay()
-                } else {
-                    0.0
-                };
-                (m, self.cell(m.cell()).delay() + extra)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+        let (_, best) = self.best_matches(function)?;
+        Some((
+            best,
+            MatchCost::new(&self.cells, Some(self.inverter())).delay(best),
+        ))
+    }
+}
+
+/// The cost of implementing a function through a [`CellMatch`]: the cell's
+/// area plus one inverter's per inverted pin or output, and the cell's delay
+/// plus one inverter delay when the match needs any inverter.
+struct MatchCost<'a> {
+    cells: &'a [Cell],
+    inv_area: f64,
+    inv_delay: f64,
+}
+
+impl<'a> MatchCost<'a> {
+    /// Costs over `cells` with `inverter` as the inverter cell; inverters
+    /// are free while a library has none yet (adding one re-chooses every
+    /// bucket).
+    fn new(cells: &'a [Cell], inverter: Option<CellId>) -> Self {
+        let inverter = inverter.map(|id| &cells[id.index()]);
+        MatchCost {
+            cells,
+            inv_area: inverter.map_or(0.0, Cell::area),
+            inv_delay: inverter.map_or(0.0, Cell::delay),
+        }
+    }
+
+    fn area(&self, m: &CellMatch) -> f64 {
+        self.cells[m.cell.index()].area() + m.inverter_count() as f64 * self.inv_area
+    }
+
+    fn delay(&self, m: &CellMatch) -> f64 {
+        let extra = if m.inverter_count() > 0 {
+            self.inv_delay
+        } else {
+            0.0
+        };
+        self.cells[m.cell.index()].delay() + extra
+    }
+}
+
+/// Every match of one indexed function, with the positions of its
+/// best-area and best-delay matches under [`MatchCost`]: the first match,
+/// replaced only by a strictly cheaper one.
+#[derive(Clone, Debug, Default)]
+struct MatchBucket {
+    matches: Vec<CellMatch>,
+    best_area: usize,
+    best_delay: usize,
+}
+
+impl MatchBucket {
+    /// Appends a match, keeping both choices current.
+    fn push(&mut self, m: CellMatch, cost: &MatchCost<'_>) {
+        let i = self.matches.len();
+        if i > 0 {
+            if cost.area(&m) < cost.area(&self.matches[self.best_area]) {
+                self.best_area = i;
+            }
+            if cost.delay(&m) < cost.delay(&self.matches[self.best_delay]) {
+                self.best_delay = i;
+            }
+        }
+        self.matches.push(m);
+    }
+
+    /// Chooses both matches again from scratch.
+    fn choose(&mut self, cost: &MatchCost<'_>) {
+        let matches = std::mem::take(&mut self.matches);
+        *self = MatchBucket::default();
+        for m in matches {
+            self.push(m, cost);
+        }
     }
 }
 
@@ -343,6 +430,95 @@ mod tests {
         let (best, delay) = lib.best_delay_match(&nand).unwrap();
         assert_eq!(lib.cell(best.cell()).name(), "NAND2x1");
         assert!((delay - 15.0).abs() < 1e-9);
+    }
+
+    /// The per-cut scan the ASIC mapper ran before the index chose each
+    /// function's matches, kept as the reference for the stored choice.
+    fn best_matches_reference<'a>(
+        library: &'a Library,
+        function: &TruthTable,
+    ) -> Option<(&'a CellMatch, &'a CellMatch)> {
+        let inv_area = library.inverter_area();
+        let inv_delay = library.inverter_delay();
+        let mut best_area: Option<&CellMatch> = None;
+        let mut best_delay: Option<&CellMatch> = None;
+        for m in library.matches(function) {
+            let area = library.cell(m.cell()).area() + m.inverter_count() as f64 * inv_area;
+            let delay = library.cell(m.cell()).delay()
+                + if m.inverter_count() > 0 {
+                    inv_delay
+                } else {
+                    0.0
+                };
+            if best_area.is_none_or(|b| {
+                area < library.cell(b.cell()).area() + b.inverter_count() as f64 * inv_area
+            }) {
+                best_area = Some(m);
+            }
+            if best_delay.is_none_or(|b| {
+                delay
+                    < library.cell(b.cell()).delay()
+                        + if b.inverter_count() > 0 {
+                            inv_delay
+                        } else {
+                            0.0
+                        }
+            }) {
+                best_delay = Some(m);
+            }
+        }
+        Some((best_area?, best_delay?))
+    }
+
+    #[test]
+    fn stored_best_matches_equal_the_reference_scan_for_every_indexed_function() {
+        let lib = asap7_lite();
+        assert!(lib.index.len() > 1000);
+        for function in lib.index.keys() {
+            let (area, delay) = lib.best_matches(function).expect("indexed");
+            let (ref_area, ref_delay) = best_matches_reference(&lib, function).expect("indexed");
+            // Pointer identity: the same entry of the bucket, not merely an
+            // equal-cost one.
+            assert!(std::ptr::eq(area, ref_area), "best area of {function:?}");
+            assert!(std::ptr::eq(delay, ref_delay), "best delay of {function:?}");
+            assert_eq!(
+                lib.best_area_match(function).map(|(m, _)| m),
+                Some(ref_area)
+            );
+            assert_eq!(
+                lib.best_delay_match(function).map(|(m, _)| m),
+                Some(ref_delay)
+            );
+        }
+    }
+
+    #[test]
+    fn a_later_cheaper_inverter_rechooses_every_bucket() {
+        // The inverter arrives after the cells whose matches need it, and a
+        // cheaper one replaces it: the stored choices must follow both.
+        let mut lib = Library::new("late-inverter");
+        for (name, inputs, expr, area, delay) in [
+            ("NAND2", 2, "!(a & b)", 1.0, 10.0),
+            ("AND2", 2, "a & b", 1.3, 12.0),
+            ("INV_BIG", 1, "!a", 0.5, 3.0),
+            ("INV_SMALL", 1, "!a", 0.1, 4.0),
+        ] {
+            let f = parse_expression(expr, inputs).expect("expression parses");
+            lib.add_cell(Cell::new(name, f, area, delay));
+            if lib.inverter.is_some() {
+                for function in lib.index.keys() {
+                    let (area, delay) = lib.best_matches(function).expect("indexed");
+                    let (ref_area, ref_delay) =
+                        best_matches_reference(&lib, function).expect("indexed");
+                    assert!(std::ptr::eq(area, ref_area), "{name}: area of {function:?}");
+                    assert!(
+                        std::ptr::eq(delay, ref_delay),
+                        "{name}: delay of {function:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(lib.cell(lib.inverter()).name(), "INV_SMALL");
     }
 
     #[test]

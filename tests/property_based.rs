@@ -188,9 +188,16 @@ fn cut_functions_match_simulation_on_random_networks() {
 #[test]
 fn inline_enumeration_matches_legacy_semantics() {
     // k = 7 exercises the heap-table (`Big`) representation alongside the
-    // default single-word k = 6 configuration.
+    // default single-word k = 6 configuration. XMGs mix XOR and majority
+    // nodes, as choice networks do, so the word-level composition meets
+    // both operators on one cone.
     let configs = [CutParams::new(6, 8), CutParams::new(7, 4)];
-    for kind in [NetworkKind::Aig, NetworkKind::Xag, NetworkKind::Mig] {
+    for kind in [
+        NetworkKind::Aig,
+        NetworkKind::Xag,
+        NetworkKind::Mig,
+        NetworkKind::Xmg,
+    ] {
         for i in 0..8 {
             let net = convert(&arbitrary_network(i), kind);
             let params = configs[i % configs.len()];
