@@ -7,10 +7,10 @@
 //! the library, the per-candidate delay/area model (cell + inverters), and
 //! emission of the selected cover as a [`CellNetlist`].
 
-use crate::engine::{Cover, CoverProblem, CoverTarget, EngineParams};
+use crate::engine::{Cover, CoverTarget, EngineParams};
 use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
 use crate::netlist::{CellNetlist, NetRef};
-use crate::prepared::{prepare_asic_cover, PreparedCover};
+use crate::prepared::{map_asic_prepared, prepare_asic_cover};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, CutCostModel, NetworkCuts, MAX_CUT_SIZE};
 use mch_logic::{GateKind, Network, NodeId, Signal, TruthTable};
@@ -420,14 +420,13 @@ impl CoverTarget for AsicTarget<'_> {
 /// [`mch_techlib::asap7_lite`] library always matches the 2- and 3-input
 /// primitive functions, so this only happens with deliberately crippled
 /// libraries).
-pub fn map_asic(
-    choice: &ChoiceNetwork,
-    library: &Library,
-    params: &AsicMapParams,
-) -> CellNetlist {
-    let PreparedCover { cuts, skeleton } = prepare_asic_cover(choice, library, params);
-    let target = AsicTarget::new(library, &cuts);
-    CoverProblem::with_skeleton(choice, &target, skeleton).solve(&params.engine_params())
+pub fn map_asic(choice: &ChoiceNetwork, library: &Library, params: &AsicMapParams) -> CellNetlist {
+    map_asic_prepared(
+        choice,
+        library,
+        &prepare_asic_cover(choice, library, params),
+        params,
+    )
 }
 
 /// Convenience: maps a plain network (no choices) onto standard cells.

@@ -45,6 +45,7 @@
 use crate::mapping::MappingObjective;
 use mch_choice::ChoiceNetwork;
 use mch_logic::{Network, NodeId};
+use std::borrow::Cow;
 
 /// Slack tolerance of every required-time / arrival comparison in the engine.
 ///
@@ -71,7 +72,9 @@ pub fn meets_bound(arrival: f64, bound: f64) -> bool {
 /// LUT-structures or coarse-grained blocks) can reuse the engine.
 pub trait CoverTarget {
     /// One concrete way of covering a node (a matched cell, a LUT, …).
-    type Candidate;
+    /// `Clone`, so a problem that injects a candidate into a borrowed
+    /// [`CoverSkeleton`] can copy it first.
+    type Candidate: Clone;
     /// The netlist type the selected cover is emitted into.
     type Netlist;
 
@@ -180,11 +183,11 @@ pub struct EngineParams {
 /// result depends only on the choice network and the target's cut set, never
 /// on [`EngineParams`]. A skeleton therefore outlives any single solve: the
 /// warm-start layer of `mch_core` caches one per `(choice network, cut set,
-/// library)` and hands each parameter variant its own clone via
-/// [`CoverProblem::with_skeleton`] — cloning is linear in the candidate
-/// bytes, orders of magnitude cheaper than re-enumerating them, and keeps
-/// per-problem mutations (candidate injection, bonuses) from ever touching
-/// the cached copy.
+/// library)` and every parameter variant borrows it through
+/// [`CoverProblem::with_skeleton`]. The borrow is copy-on-write: only
+/// [`CoverProblem::inject_candidate`] writes to a skeleton, and it copies a
+/// borrowed one first, so a problem never touches the cached copy and a
+/// problem that injects nothing copies nothing.
 #[derive(Clone, Debug)]
 pub struct CoverSkeleton<C> {
     original_gates: Vec<NodeId>,
@@ -285,7 +288,8 @@ impl<C> CoverSkeleton<C> {
 pub struct CoverProblem<'a, T: CoverTarget> {
     choice: &'a ChoiceNetwork,
     target: &'a T,
-    skeleton: CoverSkeleton<T::Candidate>,
+    /// Borrowed from a prepared cover until the first injection copies it.
+    skeleton: Cow<'a, CoverSkeleton<T::Candidate>>,
     /// Sparse per-candidate selection bonus (see [`CoverProblem::set_bonus`]).
     /// Empty (length 0) unless a bonus was ever set, so the unfused path pays
     /// nothing.
@@ -310,7 +314,8 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// derives fanout reference estimates and the candidate-leaf fanout
     /// relation ([`CoverSkeleton::build`]).
     pub fn new(choice: &'a ChoiceNetwork, target: &'a T) -> Self {
-        Self::with_skeleton(choice, target, CoverSkeleton::build(choice, target))
+        let skeleton = CoverSkeleton::build(choice, target);
+        Self::with_skeleton(choice, target, Cow::Owned(skeleton))
     }
 
     /// Builds the problem around a pre-built skeleton, skipping candidate
@@ -319,13 +324,16 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// `skeleton` must have been built by [`CoverSkeleton::build`] over the
     /// same choice network and an identically-configured target (same cut
     /// set, same library); the sizes are asserted, the contents are the
-    /// caller's contract. The skeleton is taken by value: callers reusing a
-    /// cached skeleton clone it, so later mutations of this problem
-    /// (injection, bonuses) never leak into the cache.
+    /// caller's contract. A cached skeleton is passed as
+    /// [`Cow::Borrowed`]: solving and bonuses only read it, and
+    /// [`inject_candidate`](Self::inject_candidate) copies it before its
+    /// first write, so no mutation of this problem reaches the cache. A
+    /// freshly built skeleton that will be injected into is best passed as
+    /// [`Cow::Owned`], which is never copied.
     pub fn with_skeleton(
         choice: &'a ChoiceNetwork,
         target: &'a T,
-        skeleton: CoverSkeleton<T::Candidate>,
+        skeleton: Cow<'a, CoverSkeleton<T::Candidate>>,
     ) -> Self {
         assert_eq!(
             skeleton.candidates.len(),
@@ -371,28 +379,33 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// invalidation reaches the injected cone exactly like an enumerated one.
     /// The `users` lists stay sorted and deduplicated, preserving the
     /// deterministic propagation order.
+    ///
+    /// This is the only write to the skeleton: a borrowed skeleton is copied
+    /// here, at the problem's first injection, and never otherwise.
     pub fn inject_candidate(&mut self, root: NodeId, cand: T::Candidate) -> usize {
         let idx = root.index();
         assert!(
             !self.skeleton.candidates[idx].is_empty(),
             "injection root {root} is not an original gate of the problem"
         );
+        let skeleton = self.skeleton.to_mut();
         for &l in self.target.leaves(&cand) {
             assert!(
                 l.index() < idx,
                 "injected leaf {l} does not precede root {root}"
             );
-            let list = &mut self.skeleton.users[l.index()];
+            let list = &mut skeleton.users[l.index()];
             match list.binary_search(&(idx as u32)) {
                 Ok(_) => {}
                 Err(pos) => list.insert(pos, idx as u32),
             }
         }
-        self.skeleton.candidates[idx].push(cand);
-        if !self.bonus.is_empty() && self.bonus[idx].len() < self.skeleton.candidates[idx].len() {
-            self.bonus[idx].resize(self.skeleton.candidates[idx].len(), 0.0);
+        let list = &mut skeleton.candidates[idx];
+        list.push(cand);
+        if !self.bonus.is_empty() && self.bonus[idx].len() < list.len() {
+            self.bonus[idx].resize(list.len(), 0.0);
         }
-        self.skeleton.candidates[idx].len() - 1
+        list.len() - 1
     }
 
     /// Grants candidate `cand_index` of `root` a selection bonus.
@@ -1056,12 +1069,13 @@ mod tests {
         assert_eq!(shared.emit(&sel), reference[0]);
     }
 
-    /// A cached skeleton handed out by value must be byte-transparent: a
-    /// problem built via `with_skeleton` on a clone solves identically to one
-    /// built from scratch, and mutating one clone (injection, bonuses) never
-    /// contaminates a sibling built from the same skeleton.
+    /// A borrowed skeleton is never written: a problem that only solves and
+    /// sets bonuses reads the shared candidate lists in place, an injecting
+    /// problem copies them at its first injection and leaves the shared
+    /// skeleton's bytes unchanged, and a sibling over the same borrow still
+    /// solves exactly like a from-scratch problem.
     #[test]
-    fn skeleton_clones_are_byte_transparent_and_isolated() {
+    fn borrowed_skeletons_are_copied_only_by_injection() {
         let mut net = Network::with_name(NetworkKind::Aig, "skeleton-share");
         let a = net.add_inputs(4);
         let b = net.add_inputs(4);
@@ -1086,17 +1100,32 @@ mod tests {
 
         let fresh = CoverProblem::new(&choice, &target).solve(&params);
         let skeleton = CoverSkeleton::build(&choice, &target);
+        let bytes = format!("{skeleton:?}");
 
-        // Clone 1 is mutated: inject a self-made cone candidate with a bonus.
-        let mut poked = CoverProblem::with_skeleton(&choice, &target, skeleton.clone());
-        let root = *poked.original_gates().last().unwrap();
+        // A reader solves and takes a bonus over the shared lists in place.
+        let mut reader = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
+        let root = *reader.original_gates().last().unwrap();
+        let shared = skeleton.candidates[root.index()].as_ptr();
+        reader.set_bonus(root, 0, 0.0);
+        assert_eq!(reader.solve(&params), fresh);
+        assert_eq!(reader.candidates_of(root).as_ptr(), shared);
+
+        // An injecting problem writes to its own copy only.
+        let mut poked = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
         let cand = poked.candidates_of(root)[0].clone();
         let i = poked.inject_candidate(root, cand);
         poked.set_bonus(root, i, 1.0);
         let _ = poked.solve(&params);
+        assert_ne!(poked.candidates_of(root).as_ptr(), shared);
+        assert_eq!(
+            format!("{skeleton:?}"),
+            bytes,
+            "injection wrote to the borrow"
+        );
 
-        // Clone 2, taken afterwards, still matches the from-scratch build.
-        let pristine = CoverProblem::with_skeleton(&choice, &target, skeleton.clone());
-        assert_eq!(pristine.solve(&params), fresh);
+        // A sibling over the same borrow still matches the from-scratch build.
+        let sibling = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
+        assert_eq!(sibling.solve(&params), fresh);
+        assert_eq!(sibling.candidates_of(root).as_ptr(), shared);
     }
 }

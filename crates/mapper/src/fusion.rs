@@ -33,9 +33,14 @@
 //! The harvest and application are pure functions of the deterministic ASIC
 //! selection, so fused output is byte-identical at every thread count — the
 //! same invariant every other phase holds (`tests/choice_determinism.rs`).
+//!
+//! Steps 1 and 2 read only the guide cover, `K` and the guide's engine
+//! parameters, none of which a fused sweep varies: the warm-start path
+//! ([`map_lut_fused_prepared`]) harvests once per guide cover and key and
+//! memoises the cones on it, so every later variant pays only for step 4.
 
 use crate::asic::{AsicMapParams, AsicTarget, MatchCandidate};
-use crate::engine::{CoverProblem, CoverSkeleton};
+use crate::engine::{CoverProblem, CoverSkeleton, EngineParams};
 use crate::lut::{map_lut, LutCandidate, LutMapParams, LutTarget};
 use crate::mapping::MappingObjective;
 use crate::netlist::LutNetlist;
@@ -44,6 +49,8 @@ use mch_choice::ChoiceNetwork;
 use mch_cut::NetworkCuts;
 use mch_logic::{NodeId, TruthTable};
 use mch_techlib::{Library, LutLibrary};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// How the ASIC guide pass feeds the LUT cover (see the module docs).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -86,11 +93,26 @@ const FUSION_BONUS_LUTS: f64 = 0.25;
 /// A cone harvested from the ASIC cover: the root it covers, its
 /// support-reduced leaves (sorted, distinct) and the function they feed.
 /// One cone may absorb several standard cells (see [`harvest_cones`]).
-struct AsicCone {
+#[derive(PartialEq, Debug)]
+pub(crate) struct AsicCone {
     root: NodeId,
     leaves: Vec<NodeId>,
     function: TruthTable,
 }
+
+impl AsicCone {
+    /// Approximate heap footprint in bytes, for the guide cover's
+    /// [`PreparedCover::approx_bytes`].
+    pub(crate) fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.leaves.capacity() * std::mem::size_of::<NodeId>()
+            + self.function.heap_bytes()
+    }
+}
+
+/// What a harvest reads besides the guide cover: the LUT size `K` and the
+/// guide solve's engine parameters. The key of a guide's cone memo.
+pub(crate) type ConeKey = (usize, EngineParams);
 
 /// Maps a choice network onto K-LUTs with ASIC-guided fusion.
 ///
@@ -112,9 +134,17 @@ pub fn map_lut_fused(
         return map_lut(choice, lut, params);
     }
     let guide = prepare_fusion_guide(choice, library, params);
-    let cones = harvest_cones(choice, library, &guide.cuts, guide.skeleton, params, lut.k());
+    let cones = harvest_cones(choice, library, &guide, &guide_key(params, lut));
+    // Owned: the injecting modes write to it, and nothing else reads it.
     let prep = prepare_lut_cover(choice, lut, params);
-    solve_guarded(choice, lut, &prep.cuts, prep.skeleton, &cones, params)
+    solve_guarded(
+        choice,
+        lut,
+        &prep.cuts,
+        Cow::Owned(prep.skeleton),
+        &cones,
+        params,
+    )
 }
 
 /// The guarded double solve shared by the one-shot and warm-start pipelines,
@@ -129,7 +159,7 @@ fn solve_guarded(
     choice: &ChoiceNetwork,
     lut: &LutLibrary,
     cuts: &NetworkCuts,
-    skeleton: CoverSkeleton<LutCandidate>,
+    skeleton: Cow<'_, CoverSkeleton<LutCandidate>>,
     cones: &[AsicCone],
     params: &LutMapParams,
 ) -> LutNetlist {
@@ -163,6 +193,13 @@ fn guide_asic_params(params: &LutMapParams) -> AsicMapParams {
     asic
 }
 
+/// The cone-memo key of a fused solve: the LUT size and the guide solve's
+/// engine parameters (objective, the ASIC default rounds, no exact area,
+/// memoisation). Fusion mode, `area_rounds` and `exact_area` never reach it.
+fn guide_key(params: &LutMapParams, lut: &LutLibrary) -> ConeKey {
+    (lut.k(), guide_asic_params(params).engine_params())
+}
+
 /// Runs the preparation phase of the fusion guide pass: an ordinary
 /// [`prepare_asic_cover`] under the guide's derived ASIC parameters (the
 /// objective's natural ranking, the LUT `cut_limit`).
@@ -183,9 +220,16 @@ pub fn prepare_fusion_guide(
 ///
 /// `lut_prep` must come from [`crate::prepare_lut_cover`] and `guide_prep`
 /// from [`prepare_fusion_guide`], both over the same choice network and
-/// parameters (`cut_limit`, `cut_ranking`, `objective`). Byte-identical to
-/// the one-shot [`map_lut_fused`]; with [`FusionMode::Off`] the guide
-/// artifact is ignored entirely and this is [`map_lut_prepared`].
+/// parameters (`cut_limit`, `cut_ranking`, `objective`), and `library` must
+/// be the guide's. Byte-identical to the one-shot [`map_lut_fused`]; with
+/// [`FusionMode::Off`] the guide artifact is ignored entirely and this is
+/// [`map_lut_prepared`].
+///
+/// Both skeletons are borrowed, never cloned: the guide's is only read, and
+/// the LUT one is copied by the first cone injection alone (modes
+/// [`FusionMode::Inject`] and [`FusionMode::Full`]). The guide's harvested
+/// cones are memoised on `guide_prep` per `(lut.k(), guide engine
+/// parameters)`, so only the first fused call per key solves the guide.
 pub fn map_lut_fused_prepared(
     choice: &ChoiceNetwork,
     lut: &LutLibrary,
@@ -197,14 +241,31 @@ pub fn map_lut_fused_prepared(
     if !params.fusion.is_enabled() {
         return map_lut_prepared(choice, lut, lut_prep, params);
     }
-    let guide = guide_prep.skeleton.clone();
-    let cones = harvest_cones(choice, library, &guide_prep.cuts, guide, params, lut.k());
-    let skeleton = lut_prep.skeleton.clone();
+    let cones = guide_cones(choice, library, guide_prep, guide_key(params, lut));
+    let skeleton = Cow::Borrowed(&lut_prep.skeleton);
     solve_guarded(choice, lut, &lut_prep.cuts, skeleton, &cones, params)
 }
 
-/// Solves the ASIC guide cover over a prepared guide cut set and skeleton
-/// and returns the harvested cones in id order.
+/// The cones `guide` harvests under `key`: from its memo, or harvested now
+/// and memoised. The entry is pushed only once [`harvest_cones`] returned.
+fn guide_cones(
+    choice: &ChoiceNetwork,
+    library: &Library,
+    guide: &PreparedCover<MatchCandidate>,
+    key: ConeKey,
+) -> Arc<[AsicCone]> {
+    let mut memo = guide.cone_memo();
+    if let Some((_, cones)) = memo.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(cones);
+    }
+    let cones: Arc<[AsicCone]> = harvest_cones(choice, library, guide, &key).into();
+    memo.push((key, Arc::clone(&cones)));
+    cones
+}
+
+/// Solves the ASIC guide cover over its borrowed skeleton and returns the
+/// harvested cones in id order; `(k, engine)` is the LUT size and the guide
+/// solve's parameters ([`guide_key`]).
 ///
 /// The guide pass reuses the LUT parameters where they apply (objective,
 /// cut limit, threads, memoisation) and the ASIC defaults elsewhere, and
@@ -220,14 +281,12 @@ pub fn map_lut_fused_prepared(
 fn harvest_cones(
     choice: &ChoiceNetwork,
     library: &Library,
-    cuts: &NetworkCuts,
-    skeleton: CoverSkeleton<MatchCandidate>,
-    params: &LutMapParams,
-    k: usize,
+    guide: &PreparedCover<MatchCandidate>,
+    &(k, engine): &ConeKey,
 ) -> Vec<AsicCone> {
-    let target = AsicTarget::new(library, cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, skeleton);
-    let selection = problem.solve_selection(&guide_asic_params(params).engine_params());
+    let target = AsicTarget::new(library, &guide.cuts);
+    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&guide.skeleton));
+    let selection = problem.solve_selection(&engine);
 
     // The winning cover: the selected cell cone of every needed gate.
     let mut selected: Vec<Option<(Vec<NodeId>, TruthTable)>> =
@@ -440,24 +499,48 @@ mod tests {
     fn prepared_fused_solves_match_one_shot_mapping_bytes() {
         let net = adder4();
         let choice = build_mch(&net, &MchParams::area_oriented());
-        let lut = LutLibrary::k6();
         let lib = asap7_lite();
-        for mode in [
-            FusionMode::Off,
-            FusionMode::Bias,
-            FusionMode::Inject,
-            FusionMode::Full,
-        ] {
-            let base = LutMapParams::new(MappingObjective::Area).with_fusion(mode);
+        let base = LutMapParams::new(MappingObjective::Area);
+        // One guide for every LUT size, mode and engine knob: its cone memo
+        // is keyed by what the harvest reads, and nothing else.
+        let guide_prep = prepare_fusion_guide(&choice, &lib, &base);
+        for lut in [LutLibrary::k6(), LutLibrary::k4()] {
             let lut_prep = crate::prepared::prepare_lut_cover(&choice, &lut, &base);
-            let guide_prep = prepare_fusion_guide(&choice, &lib, &base);
-            for params in [base, base.with_area_rounds(1), base.with_exact_area(true)] {
-                assert_eq!(
-                    map_lut_fused_prepared(&choice, &lut, &lib, &params, &lut_prep, &guide_prep),
-                    map_lut_fused(&choice, &lut, &lib, &params),
-                    "{mode:?}/{params:?} diverged from the one-shot fused mapper"
-                );
+            for mode in [
+                FusionMode::Off,
+                FusionMode::Bias,
+                FusionMode::Inject,
+                FusionMode::Full,
+            ] {
+                let fused = base.with_fusion(mode);
+                for params in [
+                    fused,
+                    fused.with_area_rounds(1),
+                    fused.with_exact_area(true),
+                    fused.with_memoise(false),
+                ] {
+                    assert_eq!(
+                        map_lut_fused_prepared(
+                            &choice,
+                            &lut,
+                            &lib,
+                            &params,
+                            &lut_prep,
+                            &guide_prep
+                        ),
+                        map_lut_fused(&choice, &lut, &lib, &params),
+                        "K {}: {mode:?}/{params:?} diverged from the one-shot fused mapper",
+                        lut.k()
+                    );
+                }
             }
+        }
+        // One harvest per LUT size and guide memoisation setting, each equal
+        // to a fresh harvest under its key.
+        let memo = guide_prep.cone_memo();
+        assert_eq!(memo.len(), 4);
+        for (key, cones) in memo.iter() {
+            assert_eq!(**cones, harvest_cones(&choice, &lib, &guide_prep, key)[..]);
         }
     }
 

@@ -6,11 +6,11 @@
 //! mask is the cut function), so candidates need no Boolean matching and the
 //! cost model is the LUT library's uniform delay/area.
 
-use crate::engine::{Cover, CoverProblem, CoverTarget, EngineParams};
+use crate::engine::{Cover, CoverTarget, EngineParams};
 use crate::fusion::FusionMode;
 use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
 use crate::netlist::{LutNetlist, NetRef};
-use crate::prepared::{prepare_lut_cover, PreparedCover};
+use crate::prepared::{map_lut_prepared, prepare_lut_cover};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, NetworkCuts};
 use mch_logic::{Network, NodeId, TruthTable};
@@ -338,9 +338,7 @@ impl CoverTarget for LutTarget<'_> {
 /// terms — this is the configuration that produced the EPFL best-results
 /// entries in the paper (Table II).
 pub fn map_lut(choice: &ChoiceNetwork, lut: &LutLibrary, params: &LutMapParams) -> LutNetlist {
-    let PreparedCover { cuts, skeleton } = prepare_lut_cover(choice, lut, params);
-    let target = LutTarget::new(lut, &cuts);
-    CoverProblem::with_skeleton(choice, &target, skeleton).solve(&params.engine_params())
+    map_lut_prepared(choice, lut, &prepare_lut_cover(choice, lut, params), params)
 }
 
 /// Convenience: maps a plain network (no choices) onto K-LUTs.

@@ -14,22 +14,27 @@
 //! A [`PreparedCover`] captures phase 1 — the representatives' cut lists
 //! plus the [`CoverSkeleton`] built over them. [`prepare_lut_cover`] and
 //! [`prepare_asic_cover`] are the only places cuts are prepared for a cover.
-//! The one-shot mappers prepare and solve once, moving the skeleton into the
-//! problem; a parameter sweep prepares once and solves per variant via
+//! A parameter sweep prepares once and solves per variant via
 //! [`map_lut_prepared`] / [`map_asic_prepared`] (and
-//! [`crate::fusion::map_lut_fused_prepared`]), which clone the skeleton per
-//! solve so no per-problem mutation reaches the shared copy. Every prepared
-//! solve is therefore **byte-identical** to the one-shot call;
-//! `tests/service_warm_start.rs` in `mch_core` pins this end to end.
+//! [`crate::fusion::map_lut_fused_prepared`]); the one-shot mappers are the
+//! same calls over a cover they prepare themselves. Every solve borrows the
+//! skeleton copy-on-write (see [`CoverProblem::with_skeleton`]): a plain
+//! solve copies nothing, and the fusion pipeline's candidate injection copies
+//! it before its first write, so no per-problem mutation reaches the shared
+//! copy. Every prepared solve is therefore **byte-identical** to the one-shot
+//! call; `tests/service_warm_start.rs` in `mch_core` pins this end to end.
 
 use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
 use crate::engine::{CoverProblem, CoverSkeleton};
+use crate::fusion::{AsicCone, ConeKey};
 use crate::lut::{LutCandidate, LutMapParams, LutTarget};
 use crate::mapping::prepare_cuts;
 use crate::netlist::{CellNetlist, LutNetlist};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCostModel, NetworkCuts};
 use mch_techlib::{Library, LutLibrary};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The params-independent artifact of one mapper over one choice network:
 /// the cut lists of the original (representative) nodes and the candidate
@@ -45,12 +50,36 @@ use mch_techlib::{Library, LutLibrary};
 /// matching `map_*_prepared` entry point. The skeleton depends on the cut
 /// set, the library and nothing else, so one `PreparedCover` serves every
 /// combination of objective, `area_rounds`, `exact_area` and `memoise`.
+///
+/// A cover used as a fusion guide also memoises the cones its guide solve
+/// harvests, one entry per `(LUT K, guide engine parameters)` — everything
+/// the harvest reads besides the cover itself — so every fused variant after
+/// the first reuses them (see [`crate::fusion::map_lut_fused_prepared`]).
+/// Every other cover's memo stays empty.
 pub struct PreparedCover<C> {
     pub(crate) cuts: NetworkCuts,
     pub(crate) skeleton: CoverSkeleton<C>,
+    /// Taken only by flow coordinators, never by pool workers, so holding
+    /// it across a harvest cannot deadlock. An entry is pushed only after
+    /// its harvest returned: a panic inside one leaves the memo as it was.
+    cones: Mutex<Vec<(ConeKey, Arc<[AsicCone]>)>>,
 }
 
 impl<C> PreparedCover<C> {
+    fn new(cuts: NetworkCuts, skeleton: CoverSkeleton<C>) -> Self {
+        PreparedCover {
+            cuts,
+            skeleton,
+            cones: Mutex::default(),
+        }
+    }
+
+    /// The harvested-cone memo, recovered if a panicking harvest poisoned
+    /// it (it never holds a partial entry).
+    pub(crate) fn cone_memo(&self) -> MutexGuard<'_, Vec<(ConeKey, Arc<[AsicCone]>)>> {
+        self.cones.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The cut set the skeleton was enumerated from: the original nodes'
     /// lists, densely packed; every other node's list is empty.
     pub fn cuts(&self) -> &NetworkCuts {
@@ -65,9 +94,14 @@ impl<C> PreparedCover<C> {
     /// Approximate heap footprint in bytes; `candidate_bytes` supplies the
     /// per-candidate estimate (see [`LutCandidate::approx_bytes`] /
     /// [`MatchCandidate::approx_bytes`]). Used by the warm-start cache's
-    /// byte accounting in `mch_core`.
+    /// byte accounting in `mch_core`. Counts the harvested-cone memo.
     pub fn approx_bytes(&self, candidate_bytes: impl Fn(&C) -> usize) -> usize {
-        self.cuts.approx_bytes() + self.skeleton.approx_bytes(candidate_bytes)
+        let cone_bytes: usize = self
+            .cone_memo()
+            .iter()
+            .flat_map(|(_, cones)| cones.iter().map(AsicCone::approx_bytes))
+            .sum();
+        self.cuts.approx_bytes() + self.skeleton.approx_bytes(candidate_bytes) + cone_bytes
     }
 }
 
@@ -102,7 +136,7 @@ pub fn prepare_lut_cover(
         let target = LutTarget::new(lut, &cuts);
         CoverSkeleton::build(choice, &target)
     };
-    PreparedCover { cuts, skeleton }
+    PreparedCover::new(cuts, skeleton)
 }
 
 /// The solving phase of [`map_lut`](crate::map_lut) over a prepared cover.
@@ -117,7 +151,7 @@ pub fn map_lut_prepared(
     params: &LutMapParams,
 ) -> LutNetlist {
     let target = LutTarget::new(lut, &prep.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, prep.skeleton.clone());
+    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&prep.skeleton));
     problem.solve(&params.engine_params())
 }
 
@@ -148,7 +182,7 @@ pub fn prepare_asic_cover(
         let target = AsicTarget::new(library, &cuts);
         CoverSkeleton::build(choice, &target)
     };
-    PreparedCover { cuts, skeleton }
+    PreparedCover::new(cuts, skeleton)
 }
 
 /// The solving phase of [`map_asic`](crate::map_asic) over a prepared cover.
@@ -163,7 +197,7 @@ pub fn map_asic_prepared(
     params: &AsicMapParams,
 ) -> CellNetlist {
     let target = AsicTarget::new(library, &prep.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, prep.skeleton.clone());
+    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&prep.skeleton));
     problem.solve(&params.engine_params())
 }
 

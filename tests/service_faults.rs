@@ -15,11 +15,11 @@
 //! deadlock; the pool and the service stay reusable.
 #![cfg(feature = "fault-injection")]
 
-use mch::benchmarks::{adder, demo_adder_gt};
-use mch::core::{FlowError, Job, JobReport, MappingService, MchConfig};
+use mch::benchmarks::{adder, benchmark, demo_adder_gt};
+use mch::core::{FlowError, FusionMode, Job, JobReport, MappingService, MchConfig};
 use mch::io::write_lut_blif;
 use mch::logic::failpoint;
-use mch::techlib::LutLibrary;
+use mch::techlib::{asap7_lite, LutLibrary};
 use std::sync::{Mutex, PoisonError};
 
 /// Serializes chaos tests against each other: the failpoint registry is
@@ -244,6 +244,45 @@ fn worker_deaths_are_invisible_to_batched_results() {
                     "worker respawn changed a batched result at {threads} threads"
                 );
             }
+        }
+    });
+}
+
+/// A fault inside the first harvest of a fusion guide's cones. A plain job
+/// warms the prepared flow without harvesting anything, so the guide's ASIC
+/// solve is the first `engine::round` the fused job runs: that job reports
+/// the structured error, the guide's cone memo keeps no partial entry, and
+/// the same fused job on the same service then byte-matches its cold solo
+/// run. On `i2c` the injected guide cones win the cover, so a memo holding
+/// the wrong cones would show in the bytes.
+#[test]
+fn fault_in_the_first_guide_harvest_leaves_the_service_usable() {
+    with_chaos(|| {
+        let net = benchmark("i2c").expect("suite circuit");
+        for threads in thread_counts() {
+            let lut = LutLibrary::k6();
+            let config = MchConfig::lut_fusion()
+                .with_fusion(FusionMode::Inject)
+                .with_threads(threads);
+            let fused = || Job::lut_fused("fused", net.clone(), lut, asap7_lite(), config.clone());
+            let cold = bytes_of(&MappingService::new().with_prepared_capacity(0).run(fused()));
+            let service = MappingService::new();
+            bytes_of(&service.run(Job::lut("warm", net.clone(), lut, config.clone())));
+            failpoint::arm_exact("engine::round", &[0]);
+            let faulted = service.run(fused());
+            failpoint::disarm();
+            assert_worker_panic(&faulted, "engine::round");
+            assert_eq!(
+                bytes_of(&service.run(fused())),
+                cold,
+                "the retried fused job diverged at {threads} threads"
+            );
+            let stats = service.stats();
+            assert_eq!((stats.jobs_failed, stats.jobs_succeeded), (1, 2));
+            assert_eq!(
+                stats.prepared_misses, 1,
+                "every job must share the warmed flow"
+            );
         }
     });
 }

@@ -13,7 +13,7 @@
 
 use mch::benchmarks::{adder, demo_adder_gt, voter};
 use mch::core::{
-    CutCost, FlowBudget, Job, JobKind, JobOutput, JobReport, MappingService, MchConfig,
+    CutCost, FlowBudget, FusionMode, Job, JobKind, JobOutput, JobReport, MappingService, MchConfig,
 };
 use mch::io::{write_lut_blif, write_verilog};
 use mch::techlib::{asap7_lite, Library, LutLibrary};
@@ -222,6 +222,44 @@ fn asic_and_fused_sweeps_match_cold_solo_runs() {
             report_fingerprint(&fused_report),
             fused_expected,
             "fused sweep diverged at {threads} threads"
+        );
+    }
+}
+
+/// A fusion guide's harvested cones are memoised per LUT size, on the guide
+/// cover both sweeps below share (its key holds no LUT size). A fused K-6
+/// sweep and then a fused K-4 sweep of one circuit on one service must each
+/// byte-match their cold solo runs, mode by mode.
+#[test]
+fn fused_sweeps_over_two_lut_sizes_share_one_guide_and_match_cold_runs() {
+    let lib: Library = asap7_lite();
+    let network = demo_adder_gt();
+    for threads in [1, 4] {
+        let base = MchConfig::lut_fusion().with_threads(threads);
+        let variants: Vec<MchConfig> = vec![
+            base.clone().with_fusion(FusionMode::Off),
+            base.clone().with_fusion(FusionMode::Bias),
+            base.clone().with_fusion(FusionMode::Inject),
+            base.clone(),
+            base.clone().with_area_rounds(6).with_exact_area(true),
+        ];
+        let service = MappingService::new();
+        for lut in [LutLibrary::k6(), LutLibrary::k4()] {
+            let kind = JobKind::LutFusedMch(lut, lib.clone());
+            let expected = cold_sweep_reference(&network, &kind, &variants);
+            let report = service.run(Job::sweep("fused", network.clone(), kind, variants.clone()));
+            assert_eq!(
+                report_fingerprint(&report),
+                expected,
+                "fused K-{} sweep diverged at {threads} threads",
+                lut.k()
+            );
+        }
+        let stats = service.stats();
+        assert_eq!(
+            (stats.prepared_misses, stats.prepared_entries),
+            (1, 1),
+            "both sweeps must run over one prepared flow: {stats:?}"
         );
     }
 }
