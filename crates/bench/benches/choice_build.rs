@@ -12,7 +12,7 @@
 //! and the deterministic statistics) — determinism is the hard invariant;
 //! the speedup curve is only meaningful when the host actually has the cores
 //! (`host_cpus` is recorded; on a 1-core host the curve hovers around 1.0x
-//! and measures pool overhead, not scaling).
+//! and measures fan-out overhead, not scaling).
 //!
 //! Set `MCH_BENCH_SMOKE=1` for a reduced circuit list with fewer samples
 //! (used by CI); set `MCH_BENCH_FULL=1` for the complete list.

@@ -11,8 +11,8 @@
 //!
 //! The host core count is recorded in the JSON: speedups are only meaningful
 //! when the machine actually has the cores (on a 1-core container the whole
-//! curve hovers at or below 1.0x and the numbers measure pool overhead, not
-//! scaling).
+//! curve hovers at or below 1.0x and the numbers measure fan-out overhead,
+//! not scaling).
 //!
 //! Set `MCH_BENCH_SMOKE=1` for a reduced circuit list with fewer samples
 //! (used by CI); set `MCH_BENCH_FULL=1` for the complete scaled suite.
@@ -64,7 +64,7 @@ fn gather_circuits() -> Vec<(String, Network)> {
         }
         v
     };
-    // A majority-based view exercises the 3-fanin kernel on the pool too.
+    // A majority-based view exercises the 3-fanin kernel in parallel too.
     let mig_src = if smoke { voter(255) } else { voter(511) };
     circuits.push(("voter_mig".into(), convert(&mig_src, NetworkKind::Mig)));
     circuits

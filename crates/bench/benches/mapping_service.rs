@@ -178,7 +178,7 @@ fn main() {
     c.final_summary();
 
     // Warm-cache throughput: the same service serving a second batch (the
-    // shared NPN store and the pool are both hot). Single shot at 4 threads.
+    // shared NPN store is hot). Single shot at 4 threads.
     let warm_service = MappingService::new();
     let _ = warm_service.run_batch(workload(4));
     let warm_start = Instant::now();

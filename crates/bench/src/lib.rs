@@ -6,6 +6,8 @@
 //! underlying flows. See `EXPERIMENTS.md` for the mapping between paper
 //! numbers and these functions.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod printing;

@@ -19,6 +19,8 @@
 //! assert_eq!(suite.len(), 20);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod arithmetic;
 mod control;
 mod random_logic;

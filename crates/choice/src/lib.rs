@@ -13,7 +13,7 @@
 //!   [`NpnDatabase`].
 //!
 //! Construction is one serial pass over the input in node-id order; only its
-//! cut enumeration runs on the process-wide worker pool
+//! cut enumeration fans out over threads
 //! ([`mch_cut::WorkerPool`]), so builds are byte-identical at every
 //! [`MchParams::threads`].
 //!
@@ -34,6 +34,8 @@
 //! assert!(mch.choice_count() > 0);
 //! assert!(mch.verify(16, 0).is_empty());
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod choice_network;
 mod dch;

@@ -12,7 +12,7 @@
 //!   class, and plans and commits one candidate per strategy entry through
 //!   the [`NpnDatabase`], until the per-node candidate cap is reached.
 //!
-//! Only the cut enumeration that Algorithm 2 reads runs on the worker pool
+//! Only the cut enumeration that Algorithm 2 reads fans out over threads
 //! ([`enumerate_cuts_threaded`], byte-identical to the serial enumeration),
 //! so the choice network and the deterministic [`MchStats`] counters are the
 //! same at every [`MchParams::threads`].
@@ -492,8 +492,8 @@ fn emit_node(
 /// algorithm (Algorithm 2) adds level-oriented candidates on critical paths
 /// and area-oriented candidates elsewhere.
 ///
-/// Cut enumeration shards across [`MchParams::threads`] workers on the
-/// process-wide pool; the rest is one serial pass, and the result is
+/// Cut enumeration shards across [`MchParams::threads`] threads; the rest
+/// is one serial pass, and the result is
 /// byte-identical for every thread count (see the module docs).
 pub fn build_mch(network: &Network, params: &MchParams) -> ChoiceNetwork {
     let (cn, _) = build_mch_with_stats(network, params);
@@ -619,8 +619,8 @@ mod tests {
         n
     }
 
-    /// A wider network whose widest level is wide enough for the pool to
-    /// shard the construction's cut enumeration.
+    /// A wider network whose widest level is wide enough to shard the
+    /// construction's cut enumeration.
     fn wide_network() -> Network {
         let mut n = Network::with_name(NetworkKind::Aig, "wide");
         let a = n.add_inputs(8);

@@ -27,9 +27,6 @@ pub struct MchConfig {
     /// before building choices; it only matters when this field is passed to
     /// [`mch_choice::build_mch`] directly.
     pub mch: MchParams,
-    /// Rounds of the `compress2rs`-like pre-optimization applied before
-    /// building choices (the paper prepares Table-I inputs the same way).
-    pub pre_optimization_rounds: usize,
     /// Whether the flow additionally mixes whole graph-mapped views of the
     /// design (one per secondary representation) into the choice network, in
     /// addition to the per-node candidates of Algorithm 2.
@@ -43,11 +40,13 @@ pub struct MchConfig {
     /// area-flow rounds. Off in every preset: it changes covers, and the
     /// preset quality numbers are pinned.
     pub exact_area: bool,
-    /// Worker threads used throughout the flow: the cut enumeration inside
-    /// choice construction (see [`MchParams::threads`]), snapshot
-    /// graph-mapping, and the mapper's level-parallel cut enumeration and
-    /// choice transfer (see [`mch_cut::enumerate_cuts_threaded`]). `1` runs
-    /// fully serial; every value produces identical mapping results. The presets default to
+    /// Threads used throughout the flow: the cut enumeration inside choice
+    /// construction (see [`MchParams::threads`]), snapshot graph-mapping,
+    /// and the mapper's level-parallel cut enumeration and choice transfer
+    /// (see [`mch_cut::enumerate_cuts_threaded`]). `1` runs fully serial;
+    /// every value produces identical mapping results. A phase never runs on
+    /// more than [`mch_cut::WorkerPool::global`]`().workers() + 1` threads,
+    /// whatever this asks for. The presets default to
     /// [`mch_cut::default_threads`] (the host's core count, overridable
     /// through the `MCH_THREADS` environment variable). This field is
     /// authoritative: flows copy it over [`MchParams::threads`] before
@@ -74,7 +73,6 @@ impl MchConfig {
             objective: MappingObjective::Balanced,
             cut_ranking: MappingObjective::Balanced.default_ranking(),
             mch: MchParams::balanced(),
-            pre_optimization_rounds: 2,
             mix_optimized_snapshots: true,
             area_rounds: None,
             exact_area: false,
@@ -90,7 +88,6 @@ impl MchConfig {
             objective: MappingObjective::Delay,
             cut_ranking: MappingObjective::Delay.default_ranking(),
             mch: MchParams::delay_oriented(),
-            pre_optimization_rounds: 2,
             mix_optimized_snapshots: true,
             area_rounds: None,
             exact_area: false,
@@ -106,7 +103,6 @@ impl MchConfig {
             objective: MappingObjective::Area,
             cut_ranking: MappingObjective::Area.default_ranking(),
             mch: MchParams::area_oriented(),
-            pre_optimization_rounds: 2,
             mix_optimized_snapshots: true,
             area_rounds: None,
             exact_area: false,
@@ -148,7 +144,6 @@ impl MchConfig {
             objective: MappingObjective::Area,
             cut_ranking: MappingObjective::Area.default_ranking(),
             mch: MchParams::mixed(&[NetworkKind::Xmg]),
-            pre_optimization_rounds: 0,
             mix_optimized_snapshots: true,
             area_rounds: None,
             exact_area: false,

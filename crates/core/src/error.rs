@@ -3,8 +3,8 @@
 //! Every fallible flow entry point (`try_asic_flow_*`, `try_lut_flow_*`,
 //! [`try_build_mch`](crate::try_build_mch)) funnels its failures into
 //! [`FlowError`]: malformed inputs are rejected up front by the `validate_*`
-//! functions, and any panic escaping a flow phase — including panics on pool
-//! workers — is caught at the flow boundary and surfaced as
+//! functions, and any panic escaping a flow phase — including panics on
+//! fan-out helpers — is caught at the flow boundary and surfaced as
 //! [`FlowError::WorkerPanic`] with the original payload message. See
 //! `docs/RELIABILITY.md` for the full taxonomy.
 
@@ -28,7 +28,7 @@ pub enum FlowError {
         /// Human-readable description of the defect.
         reason: String,
     },
-    /// A flow phase panicked — on the calling thread or on a pool worker —
+    /// A flow phase panicked — on the calling thread or on a fan-out helper —
     /// and the panic was contained at the flow boundary.
     WorkerPanic {
         /// The original panic payload, rendered as text.

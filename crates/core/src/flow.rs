@@ -23,11 +23,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs a flow phase with panic containment: any unwind — from the calling
-/// thread or rethrown from a pool worker — becomes
-/// [`FlowError::WorkerPanic`] carrying the original payload message. The
-/// shared pool itself recovers independently (dead workers are respawned
-/// lazily, poisoned locks are taken over), so a contained flow leaves the
-/// process ready for the next one.
+/// thread or rethrown from a fan-out helper — becomes
+/// [`FlowError::WorkerPanic`] carrying the original payload message. Helpers
+/// are joined before their fan-out returns and poisoned locks are taken
+/// over, so a contained flow leaves the process ready for the next one.
 pub(crate) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, FlowError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| FlowError::WorkerPanic {
         message: panic_message(payload.as_ref()),
@@ -84,11 +83,12 @@ fn obtain_prepared(
 /// design (one per secondary representation).
 ///
 /// The snapshot views are independent reads of the input network, so they are
-/// computed concurrently on the process-wide [`WorkerPool`] (one inline on
-/// the calling thread, the rest as pool jobs) and committed in a fixed order
-/// — the result is identical for every `config.threads` value. Each
-/// graph-mapping job runs its internal enumeration serially (the pool's
-/// recursion guard), so the pool is never deadlocked by nested phases.
+/// computed concurrently (one inline on the calling thread, the rest as
+/// [`WorkerPool::run_with`] jobs on scoped helper threads) and committed in a
+/// fixed order — the result is identical for every `config.threads` value.
+/// Each graph-mapping job runs its internal enumeration serially (the
+/// [`WorkerPool::is_worker`] recursion guard), so nested phases never
+/// multiply the thread budget.
 pub(crate) fn build_flow_choices(
     network: &Network,
     config: &MchConfig,
@@ -541,8 +541,8 @@ pub fn try_lut_flow_mch_with_budget(
 }
 
 /// Fallible [`build_mch`](mch_choice::build_mch): validates the network up
-/// front and contains any panic from choice construction (including pool
-/// workers) as [`FlowError::WorkerPanic`].
+/// front and contains any panic from choice construction (including fan-out
+/// helpers) as [`FlowError::WorkerPanic`].
 pub fn try_build_mch(
     network: &Network,
     params: &MchParams,

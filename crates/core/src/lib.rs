@@ -23,6 +23,7 @@
 //! assert!(mch.area <= baseline.area + 1e-9 || mch.delay <= baseline.delay + 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -153,8 +153,8 @@ fn cover_state<L: PartialEq + Clone, C>(
 ///
 /// Shareable across threads: the choice network is immutable after
 /// construction, and the mapper states grow under an internal mutex — the
-/// mutex is only ever taken by flow coordinator threads, never by pool
-/// workers, so holding it across a (pool-parallel) preparation cannot
+/// mutex is only ever taken by flow coordinator threads, never by fan-out
+/// helpers, so holding it across a (parallel) preparation cannot
 /// deadlock; it merely serialises duplicate builds of the same state.
 #[derive(Debug)]
 pub struct PreparedFlow {

@@ -1,14 +1,16 @@
-//! The batched mapping service: many circuits, one worker pool, one NPN
+//! The batched mapping service: many circuits, one thread budget, one NPN
 //! database.
 //!
 //! A [`MappingService`] is the "mapping farm" front end of the ROADMAP: it
 //! accepts a batch of [`Job`]s (network + flow kind + [`MchConfig`] +
-//! optional [`FlowBudget`]) and runs them **concurrently** over the shared
-//! process-wide [`WorkerPool`]. Each in-flight job gets a coordinator thread
-//! that drives the ordinary flow phases; those phases push their tasks onto
-//! the pool's shared injector queue, so pool workers steal work *across*
-//! circuits — a small job's tasks fill the idle tail of a big job's levels
-//! instead of waiting for it to finish.
+//! optional [`FlowBudget`]) and runs them **concurrently** on a bounded set
+//! of coordinator threads: by default as many as the global [`WorkerPool`]
+//! budget, or the cap set by
+//! [`with_max_in_flight`](MappingService::with_max_in_flight). Each
+//! coordinator claims jobs off a shared cursor and drives the ordinary flow
+//! phases, which fan out per `config.threads` exactly as in a solo run, so a
+//! small job backfills a coordinator that finished early instead of waiting
+//! for a big one.
 //!
 //! # Determinism
 //!
@@ -19,9 +21,9 @@
 //! Two mechanisms make that structural rather than asserted:
 //!
 //! * all within-job ordering is unchanged — each job runs the exact phases
-//!   of a solo flow, building its choice network in one serial pass in
-//!   node-id order; cross-job interaction happens only through work
-//!   stealing, which never reorders a job's own commits;
+//!   of a solo flow on its own coordinator, building its choice network in
+//!   one serial pass in node-id order; jobs share no work queue, so no job
+//!   can reorder another's commits;
 //! * the jobs share one service-wide [`SharedNpnCache`], but it is a pure
 //!   value cache: `synthesize` is a pure function of the NPN class key, so a
 //!   class network fetched from the shared store is identical to the one the
@@ -34,17 +36,18 @@
 //! service's own `service::submit` / `service::job_boundary` failpoints) or
 //! a budget breach surfaces as **that job's** [`FlowError`] /
 //! `DegradationReport`; sibling jobs in the same batch and every later batch
-//! are byte-identical to pristine runs, and the pool stays reusable
+//! are byte-identical to pristine runs, and the service stays reusable
 //! (`tests/service_faults.rs`, `tests/service_budgets.rs`).
 //!
 //! # Nested submission
 //!
-//! Submitting a batch from *inside* a pool worker (a job that spawns a
-//! sub-flow) must not deadlock the pool. [`MappingService::run_batch`]
-//! checks [`WorkerPool::is_worker`] — the same recursion guard every
-//! parallel phase uses — and falls back to running the batch serially inline
-//! on the calling worker; the nested jobs' phases then take their own serial
-//! fallbacks. Results are identical to a top-level submission.
+//! Submitting a batch from *inside* a fan-out job (a job that spawns a
+//! sub-flow) must not multiply the thread budget.
+//! [`MappingService::run_batch`] checks [`WorkerPool::is_worker`] — the same
+//! recursion guard every parallel phase uses — and falls back to running the
+//! batch serially inline on the calling thread; the nested jobs' phases then
+//! take their own serial fallbacks. Results are identical to a top-level
+//! submission.
 
 use crate::flow::{asic_flow_mch_shared, contain, lut_flow_mch_shared, FlowShared};
 use crate::prepared::PreparedFlowCache;
@@ -302,8 +305,8 @@ struct JobSlot {
     report: Option<JobReport>,
 }
 
-/// A long-lived, batched mapping front end over the process-wide
-/// [`WorkerPool`] (see the module docs).
+/// A long-lived, batched mapping front end with a bounded number of jobs in
+/// flight (see the module docs).
 ///
 /// Create one service per process (or per tenant) and feed it batches; the
 /// shared NPN store warms monotonically across batches, so repeated traffic
@@ -324,23 +327,24 @@ impl Default for MappingService {
 }
 
 impl MappingService {
-    /// Creates a service with an empty shared NPN store and no in-flight
-    /// cap (every job in a batch gets a coordinator immediately).
+    /// Creates a service with an empty shared NPN store and at most
+    /// [`WorkerPool::global`]`().workers()` jobs in flight — the same budget
+    /// every fan-out of a flow is sized by.
     pub fn new() -> Self {
         MappingService {
             npn: Arc::new(SharedNpnCache::new()),
             prepared: PreparedFlowCache::new(PreparedFlowCache::DEFAULT_CAPACITY_BYTES),
-            max_in_flight: 0,
+            max_in_flight: WorkerPool::global().workers(),
             jobs_succeeded: AtomicUsize::new(0),
             jobs_failed: AtomicUsize::new(0),
         }
     }
 
     /// Returns the same service with at most `cap` jobs in flight at once
-    /// (`0` = unlimited). `1` serialises job execution in submission order —
-    /// outputs are identical either way; only scheduling changes.
+    /// (floored at 1). `1` serialises job execution in submission order —
+    /// outputs are identical at every cap; only scheduling changes.
     pub fn with_max_in_flight(mut self, cap: usize) -> Self {
-        self.max_in_flight = cap;
+        self.max_in_flight = cap.max(1);
         self
     }
 
@@ -371,8 +375,7 @@ impl MappingService {
     }
 
     /// Runs one job to completion on the calling thread (its internal phases
-    /// still use the pool per `config.threads`). Equivalent to a one-job
-    /// batch.
+    /// still fan out per `config.threads`). Equivalent to a one-job batch.
     pub fn run(&self, job: Job) -> JobReport {
         self.run_job(job)
     }
@@ -380,28 +383,24 @@ impl MappingService {
     /// Runs a batch of jobs and returns one [`JobReport`] per job, in
     /// submission order.
     ///
-    /// Up to the in-flight cap, every job gets a coordinator thread; the
-    /// coordinators drive their flows' phases, whose tasks land on the shared
-    /// pool injector — that is where cross-circuit work stealing happens.
+    /// At most the in-flight cap of coordinator threads (the calling thread
+    /// is one) claim jobs in submission order and drive their flows' phases.
     /// Each job's outcome is independent: a panic or budget breach in one job
     /// is contained to that job's report.
     ///
-    /// Called from inside a pool worker (nested submission), the batch runs
-    /// serially inline via the [`WorkerPool::is_worker`] recursion guard —
-    /// never deadlocking the pool — with identical results.
+    /// Called from inside a fan-out job (nested submission), the batch runs
+    /// serially inline via the [`WorkerPool::is_worker`] recursion guard,
+    /// with identical results.
     pub fn run_batch(&self, jobs: Vec<Job>) -> Vec<JobReport> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        let in_flight = match self.max_in_flight {
-            0 => n,
-            cap => cap.min(n),
-        };
+        let in_flight = self.max_in_flight.min(n);
         if in_flight <= 1 || WorkerPool::is_worker() {
             // Serial fallback: submission order, same thread — used for the
             // one-job / capped-to-one cases and for nested submission from a
-            // pool worker (see the module docs).
+            // fan-out job (see the module docs).
             return jobs.into_iter().map(|job| self.run_job(job)).collect();
         }
 
@@ -463,7 +462,7 @@ impl MappingService {
     }
 
     /// Runs one job with full containment: every panic — from the job's own
-    /// phases, its pool tasks, or the service failpoints — becomes this
+    /// phases, its fan-out jobs, or the service failpoints — becomes this
     /// job's [`FlowError::WorkerPanic`].
     fn run_job(&self, job: Job) -> JobReport {
         let start = Instant::now();
@@ -574,7 +573,7 @@ mod tests {
 
     #[test]
     fn reports_come_back_in_submission_order() {
-        let service = MappingService::new();
+        let service = MappingService::new().with_max_in_flight(4);
         let jobs: Vec<Job> = (0..4).map(|i| lut_job(&format!("job-{i}"), 2)).collect();
         let reports = service.run_batch(jobs);
         let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();

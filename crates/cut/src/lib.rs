@@ -29,6 +29,7 @@
 //! assert!(best.iter().any(|cut| cut.leaves().len() == 3));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cut;

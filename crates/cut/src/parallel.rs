@@ -1,4 +1,4 @@
-//! Level-parallel cut enumeration and the process-wide worker pool behind it.
+//! Level-parallel cut enumeration and the fan-out helper behind it.
 //!
 //! Priority-cut enumeration is embarrassingly parallel *within* a topological
 //! level: a gate's cut set depends only on its fanins' cut sets, and every
@@ -6,23 +6,23 @@
 //! structure:
 //!
 //! 1. [`mch_logic::levelize`] groups the gates by level;
-//! 2. shard work is executed on the lazily-spawned, process-wide
-//!    [`WorkerPool`] — plain [`std::thread`] workers fed through a shared
-//!    injector queue, no external dependencies — so repeated enumeration
-//!    calls (and the other phases that reuse the pool: choice transfer in
-//!    `mch_mapper`, snapshot graph-mapping and the batched mapping service
-//!    in `mch_core`) pay the thread-spawn cost once per process instead of
-//!    once per call;
-//! 3. each worker runs the same per-node kernel as the serial driver
+//! 2. [`WorkerPool::run_with`] fans the shard loops out onto scoped helper
+//!    threads ([`std::thread::scope`], no external dependencies), at most
+//!    [`WorkerPool::workers`] of them per call — the process-wide thread
+//!    budget that also bounds the other fan-outs (choice transfer in
+//!    `mch_mapper`, snapshot graph-mapping and the batched mapping service in
+//!    `mch_core`);
+//! 3. each helper runs the same per-node kernel as the serial driver
 //!    (`enumerate_node`) over contiguous, id-ordered shards pulled from a
 //!    per-call task queue, with its own `ProtoCut`/`LeafBuf` scratch, reading
 //!    the already-complete lower levels through a shared [`RwLock`];
-//! 4. the coordinator merges the shards back in chunk order (which is node-id
-//!    order within the level) before releasing the next level.
+//! 4. the coordinator drains shards too, and merges each level back in chunk
+//!    order (which is node-id order within the level) before releasing the
+//!    next level.
 //!
 //! [`level_parallel`] is the generic level-synchronized harness; it is public
 //! precisely so other crates can shard their own per-level (or single-batch)
-//! work on the same pool.
+//! work the same way.
 //!
 //! # Determinism
 //!
@@ -38,11 +38,12 @@
 //! # When to use `threads = 1`
 //!
 //! `threads = 1` (or a network whose widest level is below the sharding
-//! threshold) selects the serial driver unchanged — no pool, no locks, no
-//! extra allocation. Prefer it for small networks, for latency-sensitive
-//! single-circuit calls where the per-call coordination cost (one task-queue
-//! round-trip per level) is comparable to the enumeration itself, and when an
-//! outer loop already parallelizes across circuits.
+//! threshold) selects the serial driver unchanged — no helper threads, no
+//! locks, no extra allocation. Prefer it for small networks, for
+//! latency-sensitive single-circuit calls where the per-call coordination
+//! cost (a few thread spawns plus one task-queue round-trip per level) is
+//! comparable to the enumeration itself, and when an outer loop already
+//! parallelizes across circuits.
 
 use crate::enumeration::{
     enumerate_node, fanout_estimates, seed_arena, EnumView, NodeScratch,
@@ -53,34 +54,33 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{mpsc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Recovers a mutex/rwlock guard from a poisoned lock.
 ///
 /// Every lock in this module protects state that is either always consistent
-/// (the job queue: panicking jobs are wrapped, so a queue operation itself
-/// never unwinds mid-update) or discarded wholesale when a phase unwinds (the
-/// enumeration arena), so the poison flag carries no information here beyond
-/// "some other thread panicked once" — which fault containment explicitly
-/// must survive.
+/// (the job and task queues: panicking jobs are caught, so a queue operation
+/// itself never unwinds mid-update) or discarded wholesale when a phase
+/// unwinds (the enumeration arena), so the poison flag carries no information
+/// here beyond "some other thread panicked once" — which fault containment
+/// explicitly must survive.
 macro_rules! recover {
     ($lock:expr) => {
         $lock.unwrap_or_else(PoisonError::into_inner)
     };
 }
 
-/// Smallest level (or representative batch) worth sharding across the pool;
-/// anything narrower runs inline on the coordinating thread, which keeps
-/// deep, narrow circuits from paying one task-queue round-trip per tiny
+/// Smallest level (or representative batch) worth sharding across helper
+/// threads; anything narrower runs inline on the coordinating thread, which
+/// keeps deep, narrow circuits from paying one task-queue round-trip per tiny
 /// level.
 pub(crate) const MIN_PARALLEL_LEVEL: usize = 16;
 
-/// Chunks handed out per worker and level when a level is sharded. Chunks are
-/// pushed to the shared task queue in order and pulled by whichever worker is
-/// free, so a contiguous id region of expensive nodes (wide cross products
-/// cluster that way) is spread across the pool instead of serializing on one
-/// worker.
+/// Chunks handed out per thread and level when a level is sharded. Chunks
+/// are pushed to the shared task queue in order and pulled by whichever
+/// thread is free, so a contiguous id region of expensive nodes (wide cross
+/// products cluster that way) is spread across the threads instead of
+/// serializing on one.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// The default worker count for parallel cut enumeration: the `MCH_THREADS`
@@ -99,48 +99,11 @@ pub fn default_threads() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The process-wide worker pool
+// The fan-out helper
 // ---------------------------------------------------------------------------
 
-/// A boxed unit of work queued on the pool (already lifetime-erased; see the
-/// safety comment in [`WorkerPool::run_with`]).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct PoolQueue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
-    ready: Condvar,
-    /// Live worker threads — decremented by [`WorkerToken`] when a worker
-    /// exits for any reason (shutdown, or an injected death), consulted by
-    /// [`WorkerPool::ensure_workers`] to respawn lazily.
-    live: AtomicUsize,
-    /// Monotonic id source for worker thread names.
-    next_name: AtomicUsize,
-}
-
-/// Held for a worker thread's whole life; the `Drop` impl keeps the live
-/// count honest even when the worker dies by unwinding (e.g. through the
-/// `pool::worker` failpoint), so the next `run_with` knows to respawn.
-struct WorkerToken(Arc<PoolShared>);
-
-impl Drop for WorkerToken {
-    fn drop(&mut self) {
-        self.0.live.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Completion latch shared between one [`WorkerPool::run_with`] call and the
-/// jobs it submitted: counts outstanding jobs and stores the first panic
-/// payload observed on a worker.
-struct RunState {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
+/// A borrowed unit of work for [`WorkerPool::run_with`].
+type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 thread_local! {
     static IS_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -148,272 +111,102 @@ thread_local! {
 
 static GLOBAL_POOL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// A dependency-free pool of long-lived worker threads fed through a shared
-/// injector queue.
+/// A thread budget for fan-out: [`run_with`](WorkerPool::run_with) runs a
+/// coordinating closure on the calling thread while at most
+/// [`workers`](WorkerPool::workers) scoped helper threads take the jobs.
 ///
-/// The [`global`](WorkerPool::global) pool is spawned lazily, sized by
-/// [`default_threads`] (read once, at first use), and lives for the rest of
-/// the process — this is the ROADMAP's "process-wide pool": every
-/// level-parallel phase of every flow reuses the same threads instead of
-/// spawning a fresh scope per enumeration call. Dedicated pools from
-/// [`with_workers`](WorkerPool::with_workers) shut their threads down on
-/// drop.
-///
-/// The only execution primitive is [`run_with`](WorkerPool::run_with): borrow
-/// jobs onto the workers while a coordinating closure runs on the calling
-/// thread, with a hard completion barrier before the call returns. Higher
-/// level schedules ([`level_parallel`]) are built on top of it.
+/// The [`global`](WorkerPool::global) budget is sized once, at first use, by
+/// [`default_threads`]. Helpers live for one call: they are spawned on a
+/// [`std::thread::scope`] and joined before `run_with` returns, so nothing
+/// outlives a phase and no thread idles between phases. Higher level
+/// schedules ([`level_parallel`]) are built on top of `run_with`.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
     workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a dedicated pool with `workers` threads (floored at 1). The
-    /// threads exit when the pool is dropped. Prefer
-    /// [`global`](WorkerPool::global) unless you need an isolated pool (e.g.
-    /// in tests).
-    pub fn with_workers(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-            live: AtomicUsize::new(0),
-            next_name: AtomicUsize::new(0),
-        });
-        let pool = WorkerPool { shared, workers };
-        pool.ensure_workers();
-        pool
-    }
-
-    /// Respawns worker threads up to the pool's configured size. Called at
-    /// the start of every coordinated run so a worker killed by an injected
-    /// fault is replaced lazily, on the next phase that needs it. Spawn
-    /// failures are tolerated: the coordinator help-drains the job queue
-    /// itself (see [`run_with`](WorkerPool::run_with)), so forward progress
-    /// never depends on a successful spawn.
-    fn ensure_workers(&self) {
-        loop {
-            let live = self.shared.live.load(Ordering::Acquire);
-            if live >= self.workers {
-                return;
-            }
-            if self
-                .shared
-                .live
-                .compare_exchange(live, live + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            let shared = Arc::clone(&self.shared);
-            let id = self.shared.next_name.fetch_add(1, Ordering::Relaxed);
-            let spawned = std::thread::Builder::new()
-                .name(format!("mch-pool-{id}"))
-                .spawn(move || {
-                    let token = WorkerToken(Arc::clone(&shared));
-                    worker_main(&shared, token);
-                })
-                .is_ok();
-            if !spawned {
-                self.shared.live.fetch_sub(1, Ordering::AcqRel);
-                return;
-            }
-        }
-    }
-
-    /// The process-wide pool, spawned on first use with
-    /// [`default_threads`] workers. Its threads idle on a condvar between
-    /// phases and are never joined.
+    /// The process-wide budget: [`default_threads`] helpers, read once at
+    /// first use.
     pub fn global() -> &'static WorkerPool {
-        GLOBAL_POOL.get_or_init(|| WorkerPool::with_workers(default_threads()))
+        GLOBAL_POOL.get_or_init(|| WorkerPool {
+            workers: default_threads(),
+        })
     }
 
-    /// Number of worker threads in this pool.
+    /// The most helper threads one [`run_with`](WorkerPool::run_with) call
+    /// spawns.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Returns `true` when the calling thread is a pool worker.
+    /// Returns `true` when the calling thread is running a
+    /// [`run_with`](WorkerPool::run_with) job.
     ///
-    /// Used as a recursion guard: parallel phases invoked *from* a pool
-    /// worker (e.g. a graph-mapping job that internally enumerates cuts) must
-    /// run serially instead of submitting nested jobs and blocking a worker
-    /// on work the exhausted pool can never schedule.
+    /// Used as a recursion guard: parallel phases invoked *from* a job (e.g.
+    /// a graph-mapping job that internally enumerates cuts) run serially
+    /// instead of fanning out again, so nested phases never multiply the
+    /// thread budget.
     pub fn is_worker() -> bool {
         IS_POOL_WORKER.with(Cell::get)
     }
 
-    /// Runs `main` on the calling thread while `jobs` run on the pool
-    /// workers; returns only after `main` *and every job* completed.
+    /// Runs `main` on the calling thread while `jobs` run on at most
+    /// [`workers`](WorkerPool::workers) scoped helper threads; returns only
+    /// after `main` *and every job* completed.
     ///
-    /// Jobs may borrow data from the caller's stack (anything outliving the
-    /// `run_with` call): the completion barrier guarantees the borrows end
-    /// before the call returns, even when `main` or a job panics. A panic in
-    /// `main` is re-raised after the barrier; otherwise the first job panic
-    /// is re-raised, with its original payload.
+    /// Helpers take jobs in order off a shared queue, so jobs may outnumber
+    /// helpers. Jobs may borrow data from the caller's stack: the scope joins
+    /// every helper before the call returns, even when `main` or a job
+    /// panics. A panic in `main` is re-raised once every helper has joined;
+    /// otherwise the first job panic is, with its original payload.
     ///
     /// Jobs must not block waiting for `main` to make progress after `main`
     /// unwinds — a coordinating `main` that feeds jobs through a queue must
     /// close that queue on unwind (see the close-on-drop guard in
-    /// [`level_parallel`]). When called *from* a pool worker everything runs
-    /// inline on the calling thread (jobs first, then `main`) to keep an
-    /// exhausted pool from deadlocking on nested phases.
-    pub fn run_with<'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        main: impl FnOnce(),
-    ) {
-        if jobs.is_empty() {
-            main();
-            return;
-        }
-        if Self::is_worker() {
-            let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for job in jobs {
+    /// [`level_parallel`]). Any job no helper took — after a failed spawn,
+    /// say — runs on the calling thread once `main` returns. When called
+    /// *from* a job no helper is spawned: `main`, then every job, runs inline.
+    pub fn run_with<'env>(&self, jobs: Vec<Job<'env>>, main: impl FnOnce()) {
+        let helpers = if Self::is_worker() {
+            0
+        } else {
+            self.workers.min(jobs.len())
+        };
+        let queue = Mutex::new(jobs.into_iter());
+        let job_panic = Mutex::new(None);
+        let drain = || {
+            let was_worker = IS_POOL_WORKER.replace(true);
+            loop {
+                let Some(job) = recover!(queue.lock()).next() else {
+                    break;
+                };
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
                     mch_logic::failpoint!("pool::dispatch");
                     job()
                 })) {
-                    first_panic.get_or_insert(payload);
+                    recover!(job_panic.lock()).get_or_insert(payload);
+                }
+            }
+            IS_POOL_WORKER.set(was_worker);
+        };
+        let main_result = std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                if std::thread::Builder::new()
+                    .spawn_scoped(scope, drain)
+                    .is_err()
+                {
+                    break;
                 }
             }
             let main_result = catch_unwind(AssertUnwindSafe(main));
-            if let Err(payload) = main_result {
-                resume_unwind(payload);
-            }
-            if let Some(payload) = first_panic {
-                resume_unwind(payload);
-            }
-            return;
-        }
-        self.ensure_workers();
-        let state = Arc::new(RunState {
-            remaining: Mutex::new(jobs.len()),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
+            drain();
+            main_result
         });
-        {
-            let mut queue = recover!(self.shared.queue.lock());
-            for job in jobs {
-                let state = Arc::clone(&state);
-                let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                        mch_logic::failpoint!("pool::dispatch");
-                        job()
-                    })) {
-                        let mut slot = recover!(state.panic.lock());
-                        slot.get_or_insert(payload);
-                    }
-                    let mut remaining = recover!(state.remaining.lock());
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        state.done.notify_all();
-                    }
-                });
-                // SAFETY: the job borrows data living at least `'env` (the
-                // duration of this call). The barrier below waits for every
-                // job to finish — on the success path and on every unwind
-                // path — before `run_with` returns, so the erased borrows
-                // can never outlive the data they point into. The wrapper
-                // catches job panics, so a worker always reaches the latch
-                // decrement.
-                let wrapped: Job = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(wrapped)
-                };
-                queue.jobs.push_back(wrapped);
-            }
-            self.shared.ready.notify_all();
-        }
-        let main_result = catch_unwind(AssertUnwindSafe(main));
-        self.help_drain(&state);
         if let Err(payload) = main_result {
             resume_unwind(payload);
         }
-        let job_panic = recover!(state.panic.lock()).take();
-        if let Some(payload) = job_panic {
+        if let Some(payload) = recover!(job_panic.into_inner()) {
             resume_unwind(payload);
-        }
-    }
-
-    /// The completion barrier of [`run_with`](WorkerPool::run_with): blocks
-    /// until every submitted job finished, *helping* — the coordinator keeps
-    /// pulling queued jobs and running them inline whenever its own latch is
-    /// still open. Every job popped from the queue reaches its latch
-    /// decrement (the panic-catching wrapper guarantees it), so this loop
-    /// terminates even if every worker thread is dead: whatever is still
-    /// queued, the coordinator executes itself. Stolen jobs may belong to a
-    /// *different* concurrent run; running them here is harmless (they
-    /// decrement their own latch) and can only speed that run up.
-    fn help_drain(&self, state: &RunState) {
-        loop {
-            if *recover!(state.remaining.lock()) == 0 {
-                return;
-            }
-            let job = recover!(self.shared.queue.lock()).jobs.pop_front();
-            match job {
-                Some(job) => {
-                    // The coordinator acts as a pool worker for the duration
-                    // of a stolen job: jobs may assert `is_worker()`, and the
-                    // recursion guard must steer any nested phase inside the
-                    // job onto the serial path exactly as on a real worker.
-                    // (Stolen jobs are panic-wrapped, so no unwind can leak
-                    // the flag.)
-                    IS_POOL_WORKER.with(|flag| flag.set(true));
-                    job();
-                    IS_POOL_WORKER.with(|flag| flag.set(false));
-                }
-                None => {
-                    // Nothing left to steal: every outstanding job is being
-                    // executed by someone who will decrement the latch.
-                    let mut remaining = recover!(state.remaining.lock());
-                    while *remaining > 0 {
-                        remaining = recover!(state.done.wait(remaining));
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Every `run_with` waits for its jobs, so the queue is empty here;
-        // raising the flag wakes the idle workers and they exit.
-        recover!(self.shared.queue.lock()).shutdown = true;
-        self.shared.ready.notify_all();
-    }
-}
-
-fn worker_main(shared: &PoolShared, _token: WorkerToken) {
-    IS_POOL_WORKER.with(|flag| flag.set(true));
-    loop {
-        // Injected worker death happens strictly *between* jobs: a popped
-        // job always reaches its latch decrement, so killing a worker here
-        // can delay a run (until the coordinator steals the queued jobs or a
-        // replacement spawns) but can never strand one.
-        mch_logic::failpoint!("pool::worker");
-        let job = {
-            let mut queue = recover!(shared.queue.lock());
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break Some(job);
-                }
-                if queue.shutdown {
-                    break None;
-                }
-                queue = recover!(shared.ready.wait(queue));
-            }
-        };
-        match job {
-            // Submitted jobs are panic-wrapped by `run_with`, so this call
-            // cannot unwind and the worker survives any job.
-            Some(job) => job(),
-            None => return,
         }
     }
 }
@@ -422,7 +215,7 @@ fn worker_main(shared: &PoolShared, _token: WorkerToken) {
 // The level-synchronized harness
 // ---------------------------------------------------------------------------
 
-/// One unit of work pulled by a pool worker: chunk `chunk` of level `level`,
+/// One unit of work pulled by a shard loop: chunk `chunk` of level `level`,
 /// covering `items[start..end]` of that level's slice.
 struct Task {
     chunk: usize,
@@ -431,10 +224,10 @@ struct Task {
     end: usize,
 }
 
-/// A closeable FIFO feeding level shards to the worker loops of one
-/// [`level_parallel`] call. Shared pulling (instead of a static worker →
-/// chunk assignment) keeps every schedule deadlock-free even when the pool
-/// has fewer free workers than the requested thread count: whichever loops
+/// A closeable FIFO feeding level shards to the coordinator and the shard
+/// loops of one [`level_parallel`] call. Shared pulling (instead of a static
+/// thread → chunk assignment) keeps every schedule deadlock-free even when
+/// fewer helpers run than the requested thread count: whichever loops
 /// actually run drain all tasks.
 struct TaskQueue {
     state: Mutex<TaskQueueState>,
@@ -479,8 +272,8 @@ impl TaskQueue {
         }
     }
 
-    /// Non-blocking pop, used by the coordinator to help execute its own
-    /// level when some (or all) pool workers are dead or busy elsewhere.
+    /// Non-blocking pop, used by the coordinator to execute shards of its
+    /// own level alongside the helpers (or all of them, when none spawned).
     fn try_pop(&self) -> Option<Task> {
         let mut state = recover!(self.state.lock());
         if state.closed {
@@ -495,9 +288,9 @@ impl TaskQueue {
     }
 }
 
-/// Closes the task queue when dropped, releasing the worker loops — on the
+/// Closes the task queue when dropped, releasing the shard loops — on the
 /// normal path after the last level, and on the unwind path when the
-/// coordinator re-raises a forwarded worker panic.
+/// coordinator re-raises a forwarded shard panic.
 struct CloseOnDrop<'a>(&'a TaskQueue);
 
 impl Drop for CloseOnDrop<'_> {
@@ -507,13 +300,14 @@ impl Drop for CloseOnDrop<'_> {
 }
 
 /// Runs `work` over every item of every level, levels strictly in order,
-/// items of one level sharded across `threads` worker loops scheduled on the
-/// process-wide [`WorkerPool`] — the level-synchronized harness behind
+/// items of one level sharded across `threads` loops: the coordinating
+/// thread plus `threads - 1` shard loops run as [`WorkerPool::run_with`]
+/// jobs on the global budget — the level-synchronized harness behind
 /// [`enumerate_cuts_threaded`] and the choice transfer in `mch_mapper`. A
 /// single flat batch is simply one level (`&[items]`).
 ///
-/// * `init` builds one per-worker scratch value (called once per worker loop,
-///   plus once on the coordinator for inline levels);
+/// * `init` builds one scratch value per shard loop (called once per loop
+///   that runs, plus once on the coordinator);
 /// * `work` maps a contiguous, order-preserving shard of a level to one
 ///   result (it runs concurrently with other shards of the *same* level, so
 ///   it must only read state written by earlier levels — wrap shared state in
@@ -523,14 +317,14 @@ impl Drop for CloseOnDrop<'_> {
 ///   the only place that may write shared state.
 ///
 /// Levels shorter than `min_shard` — and everything, when `threads <= 1`, no
-/// level reaches `min_shard`, or the caller already *is* a pool worker (see
+/// level reaches `min_shard`, or the caller already *is* a fan-out job (see
 /// [`WorkerPool::is_worker`]) — run inline on the coordinating thread in the
 /// very same order, so the observable commit sequence is independent of the
 /// thread count. Empty levels are skipped.
 ///
 /// # Panics
 ///
-/// A panic inside `work` is caught on the worker, forwarded to the
+/// A panic inside `work` is caught on the helper, forwarded to the
 /// coordinator and re-raised there with its original payload, so callers
 /// observe it like a plain serial panic.
 pub fn level_parallel<T, S, R>(
@@ -562,11 +356,12 @@ pub fn level_parallel<T, S, R>(
     let work = &work;
     let queue = TaskQueue::new();
     let queue = &queue;
-    // Results travel as `thread::Result` so a panicking worker reports its
-    // payload through the channel instead of leaving the coordinator blocked;
-    // the coordinator resumes the panic with its original payload.
+    // Results travel as `thread::Result` so a panicking shard loop reports
+    // its payload through the channel instead of leaving the coordinator
+    // blocked; the coordinator resumes the panic with its original payload.
     let (result_tx, result_rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
+    // The coordinator drains shards itself, so it asks for one loop fewer.
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (1..threads)
         .map(|_| {
             let result_tx = result_tx.clone();
             Box::new(move || {
@@ -615,41 +410,35 @@ pub fn level_parallel<T, S, R>(
             }));
             let mut results: Vec<Option<R>> = (0..chunk_count).map(|_| None).collect();
             let mut collected = 0;
-            // The coordinator helps execute its own level: it competes with
-            // the worker loops for queued shards and runs them inline. This
-            // makes the level's completion unconditional — even if every
-            // pool worker is dead (injected faults) and the worker-loop jobs
-            // never run, the coordinator drains all shards itself. Shard
+            // The coordinator executes its own level too: it competes with
+            // the shard loops for queued shards and runs them inline. This
+            // makes the level's completion unconditional — even if no helper
+            // spawned, the coordinator drains all shards itself. Shard
             // results are identical regardless of which thread computed
             // them, so commit order (chunk index) still fixes the output.
             while let Some(task) = queue.try_pop() {
                 let scratch = inline_scratch.get_or_insert_with(init);
-                let shard = &levels[task.level][task.start..task.end];
-                match catch_unwind(AssertUnwindSafe(|| work(scratch, shard))) {
-                    Ok(r) => {
-                        results[task.chunk] = Some(r);
-                        collected += 1;
-                    }
-                    Err(payload) => resume_unwind(payload),
-                }
+                results[task.chunk] =
+                    Some(work(scratch, &levels[task.level][task.start..task.end]));
+                collected += 1;
             }
             while collected < chunk_count {
-                // Every shard not executed above was popped by a live worker
-                // loop, whose panic-catching body always reports — a panic
-                // inside `work` is caught and forwarded (buffered payloads
-                // are delivered before a disconnect error), so a plain
-                // blocking recv cannot hang.
+                // Every shard not executed above was popped by a running
+                // shard loop, whose panic-catching body always reports — a
+                // panic inside `work` is caught and forwarded (buffered
+                // payloads are delivered before a disconnect error), so a
+                // plain blocking recv cannot hang.
                 let (chunk, result) = result_rx
                     .recv()
-                    .expect("every pool worker exited without reporting a shard");
+                    .expect("every shard loop exited without reporting a shard");
                 match result {
                     Ok(r) => {
                         results[chunk] = Some(r);
                         collected += 1;
                     }
-                    // Re-raise the worker's panic on the coordinator with its
-                    // original payload; the close-on-drop guard releases the
-                    // remaining worker loops.
+                    // Re-raise the shard loop's panic on the coordinator with
+                    // its original payload; the close-on-drop guard releases
+                    // the remaining shard loops.
                     Err(payload) => resume_unwind(payload),
                 }
             }
@@ -660,8 +449,8 @@ pub fn level_parallel<T, S, R>(
                     .collect(),
             );
         }
-        // `_close` drops here, closing the task queue so the worker loops
-        // drain and exit before `run_with`'s completion barrier.
+        // `_close` drops here, closing the task queue so the shard loops
+        // exit before `run_with` joins its helpers.
     });
 }
 
@@ -669,16 +458,16 @@ pub fn level_parallel<T, S, R>(
 // Parallel cut enumeration on the harness
 // ---------------------------------------------------------------------------
 
-/// Mutable enumeration state shared between the coordinator and the pool:
-/// workers take read locks while processing a level, the coordinator takes
-/// the write lock to merge each finished level.
+/// Mutable enumeration state shared between the coordinator and the helpers:
+/// shard loops take read locks while processing a level, the coordinator
+/// takes the write lock to merge each finished level.
 struct EnumState {
     arena: Vec<Cut>,
     spans: Vec<(u32, u32)>,
     node_costs: Vec<CutCosts>,
 }
 
-/// One worker's result for one shard: per node the id, how many cuts it
+/// One shard loop's result for one shard: per node the id, how many cuts it
 /// stored and its best cost estimates, plus all those cuts concatenated in
 /// node order.
 struct ShardCuts {
@@ -686,7 +475,7 @@ struct ShardCuts {
     cuts: Vec<Cut>,
 }
 
-/// [`enumerate_cuts_with_model`] sharded over `threads` workers, one
+/// [`enumerate_cuts_with_model`] sharded over `threads` threads, one
 /// topological level at a time.
 ///
 /// The result is byte-identical to the serial driver's — same cuts, same
@@ -806,7 +595,7 @@ mod tests {
     use mch_logic::{Network, NetworkKind, Prng, Signal};
 
     /// A wide, layered random network (every level far above the sharding
-    /// threshold) — small enough for tests, wide enough that the pool
+    /// threshold) — small enough for tests, wide enough that the enumeration
     /// genuinely shards.
     fn wide_network(seed: u64, kind: NetworkKind) -> Network {
         let mut rng = Prng::seed_from_u64(seed);
@@ -909,9 +698,9 @@ mod tests {
     }
 
     #[test]
-    fn level_parallel_reuses_the_pool_across_phases() {
-        // Two back-to-back phases on the same (global) pool: the second phase
-        // must behave exactly like the first — the pool survives a phase.
+    fn level_parallel_runs_back_to_back_phases() {
+        // Two back-to-back phases on the global budget: the second phase must
+        // behave exactly like the first.
         let levels: Vec<Vec<u32>> = vec![(0..64).collect()];
         for _phase in 0..2 {
             let sum = std::sync::Mutex::new(0u64);
@@ -960,7 +749,7 @@ mod tests {
 
     #[test]
     fn run_with_executes_borrowed_jobs_and_main() {
-        let pool = WorkerPool::with_workers(2);
+        let pool = WorkerPool::global();
         let mut slots = [0u32; 4];
         let mut main_ran = false;
         {
@@ -983,7 +772,7 @@ mod tests {
 
     #[test]
     fn run_with_propagates_job_panics_after_the_barrier() {
-        let pool = WorkerPool::with_workers(2);
+        let pool = WorkerPool::global();
         let done = std::sync::Mutex::new(0usize);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
@@ -1009,14 +798,14 @@ mod tests {
 
     #[test]
     fn run_with_from_a_worker_runs_inline() {
-        let pool = WorkerPool::with_workers(1);
+        let pool = WorkerPool::global();
         let nested_ok = std::sync::Mutex::new(false);
         {
             let nested_ok = &nested_ok;
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(move || {
                 assert!(WorkerPool::is_worker());
-                // A nested run_with from inside a pool worker must not
-                // deadlock the single-threaded pool.
+                // A nested run_with from inside a job runs inline instead of
+                // spawning helpers of its own.
                 let mut inner = [0u8; 2];
                 let (a, b) = inner.split_at_mut(1);
                 WorkerPool::global().run_with(
@@ -1041,8 +830,8 @@ mod tests {
 
     #[test]
     fn global_pool_survives_a_panicked_job() {
-        // A panicking job on the process-wide pool must fail only its own
-        // run: the pool stays usable, immediately, for ordinary work.
+        // A panicking job on the global budget must fail only its own run:
+        // the next fan-out works, immediately, for ordinary work.
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             WorkerPool::global().run_with(
                 vec![Box::new(|| panic!("poison attempt")) as Box<dyn FnOnce() + Send + '_>],
@@ -1065,7 +854,7 @@ mod tests {
 
     #[test]
     fn repeated_job_panics_do_not_degrade_the_pool() {
-        let pool = WorkerPool::with_workers(2);
+        let pool = WorkerPool::global();
         for round in 0..8 {
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 pool.run_with(
@@ -1089,57 +878,73 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
-    fn coordinator_completes_runs_with_dead_workers_and_respawns() {
-        use mch_logic::failpoint;
-        // Serialize against other fault-injection tests in this binary.
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = recover!(GATE.lock());
-        let pool = WorkerPool::with_workers(2);
-        // Silence the expected worker-death panics for the duration.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.starts_with(failpoint::PANIC_PREFIX));
-            if !injected {
-                eprintln!("{info}");
-            }
-        }));
-        // Kill both workers at their next between-jobs check, then give them
-        // a reason to wake up: the run's jobs. The coordinator must finish
-        // the run by help-draining even with zero live workers.
-        failpoint::arm_exact("pool::worker", &[0, 1]);
-        let mut slots = [0u32; 3];
-        {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
-                .iter_mut()
-                .map(|slot| Box::new(move || *slot = 7) as Box<dyn FnOnce() + Send + '_>)
-                .collect();
-            pool.run_with(jobs, || {});
-        }
-        failpoint::disarm();
-        std::panic::set_hook(prev_hook);
-        assert_eq!(slots, [7, 7, 7]);
-        // Wait for the dying workers' tokens to drop, then a fresh run must
-        // respawn workers lazily and still work.
-        for _ in 0..100 {
-            if pool.shared.live.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let mut after = 0u32;
-        {
-            let after = &mut after;
-            pool.run_with(
-                vec![Box::new(move || *after = 9) as Box<dyn FnOnce() + Send + '_>],
-                || {},
+    fn main_panic_wins_over_job_panics() {
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            WorkerPool::global().run_with(
+                vec![Box::new(|| panic!("job exploded")) as Box<dyn FnOnce() + Send + '_>],
+                || panic!("main exploded"),
             );
-        }
-        assert_eq!(after, 9);
-        assert!(pool.shared.live.load(Ordering::Acquire) >= 1);
+        }));
+        let payload = caught.expect_err("a panic must reach the caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "main exploded");
+    }
+
+    #[test]
+    fn fan_out_stays_within_the_global_budget() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let budget = WorkerPool::global().workers() + 1;
+        let current = || std::thread::current().id();
+
+        // `level_parallel` far above the budget: every shard item exactly
+        // once, on the coordinator plus at most `workers()` helpers.
+        let levels: Vec<Vec<usize>> = vec![(0..2048).collect(), (2048..4096).collect()];
+        let seen: Vec<AtomicUsize> = (0..4096).map(|_| AtomicUsize::new(0)).collect();
+        let threads = Mutex::new(HashSet::new());
+        level_parallel(
+            &levels,
+            64,
+            8,
+            || (),
+            |_, shard: &[usize]| {
+                threads.lock().unwrap().insert(current());
+                for &i in shard {
+                    seen[i].fetch_add(1, Ordering::Relaxed);
+                }
+            },
+            |_| {},
+        );
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let used = threads.lock().unwrap().len();
+        assert!(
+            used <= budget,
+            "level_parallel used {used} threads, budget {budget}"
+        );
+
+        // `run_with` with 64 jobs: each exactly once, within the same bound
+        // (the caller, which runs `main`, included).
+        let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let threads = Mutex::new(HashSet::new());
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ran
+            .iter()
+            .map(|count| {
+                let threads = &threads;
+                Box::new(move || {
+                    threads.lock().unwrap().insert(current());
+                    count.fetch_add(1, Ordering::Relaxed);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        WorkerPool::global().run_with(jobs, || {
+            threads.lock().unwrap().insert(current());
+        });
+        assert!(ran.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let used = threads.lock().unwrap().len();
+        assert!(
+            used <= budget,
+            "run_with used {used} threads, budget {budget}"
+        );
     }
 }

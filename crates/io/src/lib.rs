@@ -31,6 +31,7 @@
 //! # Ok::<(), mch_io::ParseAigerError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod aiger;

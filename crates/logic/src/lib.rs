@@ -31,6 +31,7 @@
 //! assert!(cec(&aig, &xmg).holds());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 #[cfg(feature = "fault-injection")]

@@ -36,6 +36,7 @@
 //! assert_eq!(fpga.lut_count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod asic;

@@ -59,7 +59,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub struct PreparedCover<C> {
     pub(crate) cuts: NetworkCuts,
     pub(crate) skeleton: CoverSkeleton<C>,
-    /// Taken only by flow coordinators, never by pool workers, so holding
+    /// Taken only by flow coordinators, never by fan-out helpers, so holding
     /// it across a harvest cannot deadlock. An entry is pushed only after
     /// its harvest returned: a panic inside one leaves the memo as it was.
     cones: Mutex<Vec<(ConeKey, Arc<[AsicCone]>)>>,

@@ -75,7 +75,7 @@ pub fn graph_map_with_choices(
     let lut = LutLibrary::new(GRAPH_MAP_CUT_SIZE, 1.0, 1.0);
     // Serial: a flow already builds its views in parallel, and the default
     // thread count would parallelise only the view built on the calling
-    // thread (one built inside a pool worker runs serially anyway).
+    // thread (one built inside a fan-out job runs serially anyway).
     let params = LutMapParams::new(objective).with_threads(1);
     let cover = map_lut(choice, &lut, &params);
 

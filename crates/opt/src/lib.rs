@@ -32,6 +32,8 @@
 //! assert!(cec(&aig, &as_mig).holds());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod balance;
 mod compress;
 mod graph_map;

@@ -25,6 +25,8 @@
 //! assert!(matches.iter().any(|m| m.inverter_count() == 0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod boolexpr;
 mod cell;
 mod genlib;

@@ -1,7 +1,6 @@
 //! A long-running batched mapping service: one persistent [`MappingService`]
-//! serves rounds of mixed big/small jobs whose flow phases all execute on
-//! the shared worker pool, so workers steal work *across* circuits and the
-//! shared NPN store amortises synthesis across jobs.
+//! serves rounds of mixed big/small jobs on a bounded set of coordinator
+//! threads, and the shared NPN store amortises synthesis across jobs.
 //!
 //! Run with `cargo run --example mch_serve --release`. Environment knobs:
 //!

@@ -13,6 +13,8 @@
 //! assert_eq!(config.objective, MappingObjective::Balanced);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mch_benchmarks as benchmarks;
 pub use mch_choice as choice;
 pub use mch_core as core;

@@ -10,10 +10,9 @@
 //!
 //! Asserted properties, per the reliability contract (`docs/RELIABILITY.md`):
 //! no deadlock (every flow returns), structured errors (`WorkerPanic`
-//! carrying the injected payload, never a raw unwind), pool reusability
+//! carrying the injected payload, never a raw unwind), reusability
 //! (pristine flows byte-match after any injected failure), and
-//! simulation-equivalent degraded outputs under combined budget + fault
-//! pressure.
+//! simulation-equivalent degraded outputs under a breaching budget.
 #![cfg(feature = "fault-injection")]
 
 use mch::core::{FlowBudget, FlowError, MchConfig};
@@ -101,7 +100,7 @@ fn aborting_failpoints_yield_structured_errors_and_leave_the_pool_reusable() {
                     other => panic!("expected WorkerPanic for {site}, got {other}"),
                 }
                 assert_eq!(
-                    lut_flow_at(threads).expect("pool must stay reusable"),
+                    lut_flow_at(threads).expect("must stay reusable"),
                     baseline,
                     "{site} corrupted the next pristine flow at {threads} threads"
                 );
@@ -119,7 +118,7 @@ fn pool_dispatch_fault_fails_the_flow_not_the_process() {
             let outcome = lut_flow_at(threads);
             failpoint::disarm();
             if threads == 1 {
-                // The serial path never dispatches pool jobs: the failpoint
+                // The serial path never dispatches fan-out jobs: the failpoint
                 // stays cold and the flow must succeed untouched.
                 assert_eq!(outcome.expect("serial flow unaffected"), baseline);
             } else {
@@ -132,34 +131,16 @@ fn pool_dispatch_fault_fails_the_flow_not_the_process() {
                     other => panic!("expected WorkerPanic, got {other}"),
                 }
             }
-            // Reusability: the process-wide pool must serve the next flow
+            // Reusability: the next flow in the same process must come out
             // with identical results.
-            assert_eq!(lut_flow_at(threads).expect("pool reusable"), baseline);
-        }
-    });
-}
-
-/// Worker deaths between jobs are absorbed: the coordinator help-drains,
-/// dead workers respawn lazily, and the flow result is bit-identical.
-#[test]
-fn worker_deaths_are_invisible_to_flow_results() {
-    with_chaos(|| {
-        for threads in thread_counts() {
-            let baseline = lut_flow_at(threads).expect("pristine flow");
-            failpoint::arm_exact("pool::worker", &[0, 1]);
-            let survived = lut_flow_at(threads).expect("worker death must not fail the flow");
-            failpoint::disarm();
-            assert_eq!(
-                survived, baseline,
-                "worker respawn changed the result at {threads} threads"
-            );
+            assert_eq!(lut_flow_at(threads).expect("reusable"), baseline);
         }
     });
 }
 
 /// A seeded density sweep over every failpoint at once: whatever fires, the
 /// flow must terminate (no deadlock) with Ok-and-verified or a structured
-/// error, and the pool must serve a pristine byte-identical flow afterwards.
+/// error, and the next pristine flow must come out byte-identical.
 #[test]
 fn seeded_chaos_sweep_never_deadlocks_or_corrupts() {
     with_chaos(|| {
@@ -176,7 +157,7 @@ fn seeded_chaos_sweep_never_deadlocks_or_corrupts() {
                     );
                 }
                 assert_eq!(
-                    lut_flow_at(threads).expect("pool must recover"),
+                    lut_flow_at(threads).expect("must recover"),
                     baseline,
                     "seed {seed} at {threads} threads corrupted later flows"
                 );
@@ -185,9 +166,9 @@ fn seeded_chaos_sweep_never_deadlocks_or_corrupts() {
     });
 }
 
-/// Budget degradation and fault pressure compose: with workers being killed
-/// *and* a breaching budget, the degraded output is still produced, still
-/// simulation-equivalent, and still deterministic across thread counts.
+/// Budget degradation inside the chaos harness: a breaching budget still
+/// produces a simulation-equivalent degraded output, identical across thread
+/// counts.
 #[test]
 fn degraded_flows_stay_equivalent_under_fault_pressure() {
     with_chaos(|| {
@@ -198,11 +179,9 @@ fn degraded_flows_stay_equivalent_under_fault_pressure() {
             .with_max_resynthesis_candidates(0);
         let mut serializations = Vec::new();
         for threads in thread_counts() {
-            failpoint::arm_exact("pool::worker", &[0]);
             let config = MchConfig::lut_area().with_threads(threads);
             let result = mch::core::try_lut_flow_mch_with_budget(&net, &lut, &config, &budget)
-                .expect("degraded flow must survive worker death");
-            failpoint::disarm();
+                .expect("a degraded flow must not fail");
             assert!(result.degradation.degraded());
             assert!(result.verified, "degraded output must stay equivalent");
             serializations.push(write_lut_blif(&result.netlist));

@@ -68,8 +68,8 @@ fn deadline_breach_degrades_one_job_and_leaves_the_sibling_untouched() {
             write_lut_blif(&r.netlist)
         };
 
-        // Same two jobs in one batch.
-        let service = MappingService::new();
+        // Same two jobs in one batch, both in flight.
+        let service = MappingService::new().with_max_in_flight(2);
         let reports = service.run_batch(vec![
             lut_job("budgeted", true, threads).with_budget(zero_deadline()),
             lut_job("plain", false, threads),
@@ -130,7 +130,7 @@ fn size_budget_walks_the_pinned_ladder_in_any_batch_composition() {
     ];
     for jobs in compositions {
         let n = jobs.len();
-        let service = MappingService::new();
+        let service = MappingService::new().with_max_in_flight(n);
         let reports = service.run_batch(jobs);
         let capped = reports
             .iter()
@@ -157,7 +157,7 @@ fn degraded_outputs_are_identical_across_thread_counts_in_batches() {
     let big_len = adder(16).len();
     let mut serializations = Vec::new();
     for threads in [1, 2, 4] {
-        let service = MappingService::new();
+        let service = MappingService::new().with_max_in_flight(2);
         let reports = service.run_batch(vec![
             lut_job("capped", true, threads).with_budget(tight_size_budget(big_len)),
             lut_job("plain", false, threads),

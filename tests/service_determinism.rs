@@ -125,7 +125,7 @@ fn batched_jobs_match_solo_runs_across_threads_and_permutations() {
             let mut slots: Vec<Option<Job>> = all.into_iter().map(Some).collect();
             let jobs: Vec<Job> = order.iter().map(|&i| slots[i].take().expect("once")).collect();
             let expected: Vec<String> = order.iter().map(|&i| solo[i].clone()).collect();
-            let service = MappingService::new();
+            let service = MappingService::new().with_max_in_flight(jobs.len());
             let first = service.run_batch(jobs.clone());
             assert_batch_matches(&first, &expected, &format!("cold batch {order:?} @{threads}t"));
             // Same batch again on the now-warm shared store: still identical.
@@ -150,7 +150,7 @@ fn batch_sizes_one_four_sixteen_are_invisible() {
             .collect()
     };
     for batch_size in [1usize, 4, 16] {
-        let service = MappingService::new();
+        let service = MappingService::new().with_max_in_flight(batch_size);
         let mut pending = sixteen();
         while !pending.is_empty() {
             let take = batch_size.min(pending.len());
@@ -208,15 +208,15 @@ fn per_job_npn_stats_are_pinned_in_commit_order() {
 
 #[test]
 fn nested_submission_from_a_pool_worker_runs_serially_and_matches() {
-    // Satellite regression: a job submitting a sub-batch from *inside* a
-    // pool worker must fall back to serial via the `is_worker` recursion
-    // guard — completing (no deadlock) with byte-identical results.
+    // A job submitting a sub-batch from *inside* a fan-out job must fall
+    // back to serial via the `is_worker` recursion guard — completing with
+    // byte-identical results.
     let threads = 4;
     let expected = solo_fingerprints(threads);
     let service = MappingService::new();
     let nested: Mutex<Option<Vec<JobReport>>> = Mutex::new(None);
     let job: Box<dyn FnOnce() + Send + '_> = Box::new(|| {
-        assert!(WorkerPool::is_worker(), "closure must run as a pool job");
+        assert!(WorkerPool::is_worker(), "closure must run as a fan-out job");
         let reports = service.run_batch(job_suite(threads));
         *nested.lock().unwrap_or_else(PoisonError::into_inner) = Some(reports);
     });

@@ -12,7 +12,7 @@
 //! `service::job_boundary` boundaries or at any in-flow site — surfaces as
 //! **that job's** structured `FlowError::WorkerPanic`; sibling jobs in the
 //! same batch and a follow-up batch byte-match pristine baselines; no
-//! deadlock; the pool and the service stay reusable.
+//! deadlock; the service stays reusable.
 #![cfg(feature = "fault-injection")]
 
 use mch::benchmarks::{adder, benchmark, demo_adder_gt};
@@ -137,8 +137,8 @@ fn service_failpoints_fault_one_job_and_spare_siblings() {
                 assert_worker_panic(&reports[1], site);
                 assert_eq!(bytes_of(&reports[0]), pristine[0], "{site}: sibling 0");
                 assert_eq!(bytes_of(&reports[2]), pristine[2], "{site}: sibling 2");
-                // The service and pool stay reusable: a follow-up batch is
-                // pristine byte for byte.
+                // The service stays reusable: a follow-up batch is pristine
+                // byte for byte.
                 let followup = service.run_batch(batch(threads));
                 for (report, want) in followup.iter().zip(&pristine) {
                     assert_eq!(&bytes_of(report), want, "{site}: follow-up batch");
@@ -160,9 +160,10 @@ fn concurrent_batch_contains_the_fault_to_exactly_one_job() {
         for threads in thread_counts() {
             let pristine = baselines(threads);
             for site in ["service::submit", "npn::commit"] {
-                let service = MappingService::new();
+                let jobs = batch(threads);
+                let service = MappingService::new().with_max_in_flight(jobs.len());
                 failpoint::arm_exact(site, &[0]);
-                let reports = service.run_batch(batch(threads));
+                let reports = service.run_batch(jobs);
                 failpoint::disarm();
                 let failures: Vec<&JobReport> =
                     reports.iter().filter(|r| r.outcome.is_err()).collect();
@@ -194,7 +195,7 @@ fn seeded_chaos_sweep_over_batches_never_deadlocks_or_corrupts() {
     with_chaos(|| {
         for threads in thread_counts() {
             let pristine = baselines(threads);
-            let service = MappingService::new();
+            let service = MappingService::new().with_max_in_flight(batch(threads).len());
             for seed in 0..4 {
                 failpoint::arm(seed, 0.02);
                 let reports = service.run_batch(batch(threads));
@@ -221,28 +222,6 @@ fn seeded_chaos_sweep_over_batches_never_deadlocks_or_corrupts() {
                         "seed {seed} at {threads} threads corrupted later batches"
                     );
                 }
-            }
-        }
-    });
-}
-
-/// Worker deaths under a live batch are absorbed by the pool (lazy respawn,
-/// coordinator help-drain): no job fails, every byte matches.
-#[test]
-fn worker_deaths_are_invisible_to_batched_results() {
-    with_chaos(|| {
-        for threads in thread_counts() {
-            let pristine = baselines(threads);
-            let service = MappingService::new();
-            failpoint::arm_exact("pool::worker", &[0, 1]);
-            let reports = service.run_batch(batch(threads));
-            failpoint::disarm();
-            for (report, want) in reports.iter().zip(&pristine) {
-                assert_eq!(
-                    &bytes_of(report),
-                    want,
-                    "worker respawn changed a batched result at {threads} threads"
-                );
             }
         }
     });

@@ -297,9 +297,9 @@ fn batch_permutations_with_coincidentally_identical_jobs_stay_byte_identical() {
         .collect();
     let orders: [[usize; 4]; 3] = [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]];
     for order in orders {
-        let service = MappingService::new();
         let mut slots: Vec<Option<Job>> = make_jobs().into_iter().map(Some).collect();
         let jobs: Vec<Job> = order.iter().map(|&i| slots[i].take().expect("once")).collect();
+        let service = MappingService::new().with_max_in_flight(jobs.len());
         let reports = service.run_batch(jobs);
         for (report, &i) in reports.iter().zip(&order) {
             assert_eq!(
