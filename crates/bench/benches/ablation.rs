@@ -1,5 +1,6 @@
-//! Criterion bench for the ablation studies called out in DESIGN.md: choice
-//! sharing on/off, critical-ratio sweep, mixed vs single representation.
+//! Criterion bench for the three ablations in the README's "Substitutions"
+//! list: choice sharing on/off, critical-ratio sweep, mixed vs single
+//! representation.
 
 use mch_bench::harness::Criterion;
 use mch_bench::{criterion_group, criterion_main};

@@ -268,8 +268,9 @@ pub fn table2_benchmark_names() -> [&'static str; 5] {
 
 /// Runs the Table-II experiment: for each circuit the incumbent is the
 /// area-focused 6-LUT mapping of the optimized AIG (standing in for the
-/// published best result, see `DESIGN.md`), and the challenger is the
-/// MCH-based (AIG + XMG) area-focused mapping of the very same network.
+/// published best result; see the README, "Substitutions"), and the
+/// challenger is the MCH-based (AIG + XMG) area-focused mapping of the very
+/// same network.
 pub fn run_table2(names: &[&str]) -> Vec<Table2Row> {
     let lut = LutLibrary::k6();
     names
@@ -363,7 +364,7 @@ pub fn run_fig6(names: &[&str]) -> Vec<Fig6Row> {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (design choices called out in DESIGN.md §5).
+// Ablations (the three listed in the README, "Substitutions").
 // ---------------------------------------------------------------------------
 
 /// Ablation: maps one benchmark with and without choice-cut sharing, returning

@@ -3,8 +3,8 @@
 //!
 //! Each `run_*` function produces the rows of one table/figure; the binaries
 //! in `src/bin/` print them and the Criterion benches in `benches/` time the
-//! underlying flows. See `EXPERIMENTS.md` for the mapping between paper
-//! numbers and these functions.
+//! underlying flows. See the README, "Substitutions", for what stands in for
+//! the paper's tools, library and benchmarks.
 
 #![forbid(unsafe_code)]
 

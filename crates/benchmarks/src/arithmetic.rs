@@ -4,7 +4,7 @@
 //! circuit (carry chains, shifter trees, multiplier arrays, digit-recurrence
 //! dividers/square roots, …) at a reduced bit-width so that the complete
 //! experiment table runs in CI time; the widths used by the default suite are
-//! listed in `EXPERIMENTS.md`.
+//! set in `benchmark` (`suite.rs`; see the README, "Substitutions").
 
 use crate::words::{
     barrel_shift_left, constant_word, greater_than, multiply, mux_word, ripple_add, ripple_sub,

@@ -4,8 +4,8 @@
 //! original suite is distributed as files; this crate instead *generates*
 //! functionally-equivalent-in-spirit circuits (same functional families, same
 //! structural character, reduced bit-widths) so the whole evaluation is
-//! self-contained and deterministic. See `DESIGN.md` for the substitution
-//! rationale and `EXPERIMENTS.md` for the exact widths.
+//! self-contained and deterministic. The README's "Substitutions" list gives
+//! the rationale and says where the exact widths live.
 //!
 //! # Example
 //!

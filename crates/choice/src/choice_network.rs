@@ -158,10 +158,12 @@ impl ChoiceNetwork {
         let mut bad = Vec::new();
         for (&repr, list) in &self.choices {
             for &(choice, phase) in list {
-                let equal = values[repr.index()]
+                let mask = if phase { !0 } else { 0 };
+                let equal = values
+                    .row(repr)
                     .iter()
-                    .zip(&values[choice.index()])
-                    .all(|(&a, &b)| if phase { a == !b } else { a == b });
+                    .zip(values.row(choice))
+                    .all(|(&a, &b)| a == b ^ mask);
                 if !equal {
                     bad.push((repr, choice));
                 }

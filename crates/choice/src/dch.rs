@@ -10,7 +10,9 @@
 //! baseline MCH is compared against in Table I.
 
 use crate::choice_network::ChoiceNetwork;
-use mch_logic::{simulate_nodes, GateKind, Network, NodeId, Prng, Signal, TruthTable};
+use mch_logic::{
+    simulate_gates, simulate_nodes, GateKind, Network, NodeId, NodeValues, Prng, Signal, TruthTable,
+};
 use std::collections::HashMap;
 
 /// Number of 64-bit simulation words used for signature matching.
@@ -101,48 +103,6 @@ fn capped_supports(network: &Network) -> Vec<Option<Support>> {
     supports
 }
 
-/// Evaluates the gates of `cone` (in topological order) over `words` words
-/// per node, stored at stride `words` in `values`, whose rows for the cone's
-/// primary inputs and the constant node are already filled in.
-fn simulate_cone(network: &Network, cone: &[NodeId], values: &mut [u64], words: usize) {
-    for &id in cone {
-        // Fanins precede their gate, so they sit in `done`.
-        let (done, rest) = values.split_at_mut(id.index() * words);
-        let out = &mut rest[..words];
-        let arg = |s: Signal| {
-            let at = s.node().index() * words;
-            (
-                &done[at..at + words],
-                if s.is_complement() { !0 } else { 0 },
-            )
-        };
-        let node = network.node(id);
-        let f = node.fanins();
-        let (a, ma) = arg(f[0]);
-        let (b, mb) = arg(f[1]);
-        match node.kind() {
-            GateKind::And2 => {
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = (x ^ ma) & (y ^ mb);
-                }
-            }
-            GateKind::Xor2 => {
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = x ^ y ^ ma ^ mb;
-                }
-            }
-            GateKind::Maj3 => {
-                let (c, mc) = arg(f[2]);
-                for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-                    let (x, y, z) = (x ^ ma, y ^ mb, z ^ mc);
-                    *o = (x & y) | (x & z) | (y & z);
-                }
-            }
-            _ => unreachable!("cones hold only gates"),
-        }
-    }
-}
-
 /// Proves tentative links: entry `k` of the result is `true` when node
 /// `pairs[k].0` equals signal `pairs[k].1` on every input assignment.
 ///
@@ -214,7 +174,7 @@ fn prove_links(network: &Network, pairs: &[(NodeId, Signal)]) -> Vec<bool> {
                 let at = pi.index() * words;
                 values[at..at + words].copy_from_slice(&pattern.words()[block * words..][..words]);
             }
-            simulate_cone(network, &cone, &mut values, words);
+            simulate_gates(network, cone.iter().copied(), &mut values, words);
             open.retain(|&k| {
                 let (repr, cand) = pairs[k];
                 let mask = if cand.is_complement() { !0 } else { 0 };
@@ -318,8 +278,8 @@ fn canonical_signature(words: &[u64]) -> (Vec<u64>, bool) {
     }
 }
 
-/// Randomized simulation signatures of every node (indexed by node id).
-fn signatures(network: &Network) -> Vec<Vec<u64>> {
+/// Randomized simulation signatures of every node.
+fn signatures(network: &Network) -> NodeValues {
     let mut rng = Prng::seed_from_u64(0xD0C0_FFEE);
     let patterns: Vec<Vec<u64>> = (0..network.input_count())
         .map(|_| (0..SIGNATURE_WORDS).map(|_| rng.next_u64()).collect())
@@ -340,7 +300,7 @@ fn signature_matches(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, 
         if !cn.is_original(id) {
             continue;
         }
-        let (key, phase) = canonical_signature(&values[id.index()]);
+        let (key, phase) = canonical_signature(values.row(id));
         index.entry(key).or_insert((id, phase));
     }
 
@@ -349,7 +309,7 @@ fn signature_matches(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, 
         if cn.is_original(cand) {
             continue;
         }
-        let (key, cand_phase) = canonical_signature(&values[cand.index()]);
+        let (key, cand_phase) = canonical_signature(values.row(cand));
         if let Some(&(repr, repr_phase)) = index.get(&key) {
             links.push((repr, Signal::new(cand, repr_phase ^ cand_phase)));
         }
@@ -585,11 +545,7 @@ mod tests {
         let g = network.gate_ids().last().expect("the snapshot root");
         assert!(!cn.is_original(g));
         let sigs = signatures(network);
-        assert_eq!(
-            sigs[f.index()],
-            sigs[g.index()],
-            "the 32-word signatures collide"
-        );
+        assert_eq!(sigs.row(f), sigs.row(g), "the 32-word signatures collide");
         assert!(!nodes_equivalent(network, f, g, false));
         assert_eq!(prove_links(network, &[(f, g.signal())]), [false]);
         assert_eq!(added, 0);
@@ -620,7 +576,7 @@ mod tests {
         let mut copies = cn
             .network()
             .gate_ids()
-            .filter(|&id| !cn.is_original(id) && sigs[id.index()] == sigs[node.index()]);
+            .filter(|&id| !cn.is_original(id) && sigs.row(id) == sigs.row(node));
         let copy = copies.next().expect("a copy with the same signature");
         assert_eq!(copies.next(), None);
         copy

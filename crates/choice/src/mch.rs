@@ -22,8 +22,8 @@ use crate::npn_db::{NpnDatabase, SharedNpnCache};
 use crate::strategies::{StrategyEntry, StrategyLibrary};
 use mch_cut::{enumerate_cuts_threaded, Cut, CutCostModel, CutParams, NetworkCuts};
 use mch_logic::{
-    critical_path_nodes, mffc, GateKind, Network, NetworkKind, NodeId, NpnCanonical, Signal,
-    TruthTable,
+    critical_path_nodes, mffc, ConeEvaluator, GateKind, Network, NetworkKind, NodeId, NpnCanonical,
+    Signal, TruthTable,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -236,127 +236,10 @@ fn emit_styled(net: &mut Network, kind: NetworkKind, gate: GateKind, fanins: &[S
     }
 }
 
-/// Reused scratch for evaluating cone functions: a dense index map
-/// (epoch-stamped `slot`/`stamp` arrays over node ids) plus a value arena,
-/// replacing the per-cone `HashMap<NodeId, TruthTable>` and the
-/// clone-per-fanin evaluation of the original implementation — the same
-/// zero-allocation treatment cut enumeration received.
-struct ConeScratch {
-    sorted: Vec<NodeId>,
-    slot: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    values: Vec<TruthTable>,
-}
-
-impl ConeScratch {
-    fn new(network_len: usize) -> ConeScratch {
-        ConeScratch {
-            sorted: Vec::new(),
-            slot: vec![0; network_len],
-            stamp: vec![0; network_len],
-            epoch: 0,
-            values: Vec::new(),
-        }
-    }
-
-    /// Binds `id` to `table` in the current epoch, overwriting an existing
-    /// binding (the constant node may shadow a degenerate leaf binding,
-    /// matching the insertion order of the original map-based code).
-    fn bind(&mut self, id: NodeId, table: TruthTable) {
-        let i = id.index();
-        if self.stamp[i] == self.epoch {
-            self.values[self.slot[i] as usize] = table;
-        } else {
-            self.stamp[i] = self.epoch;
-            self.slot[i] = self.values.len() as u32;
-            self.values.push(table);
-        }
-    }
-
-    fn get(&self, id: NodeId) -> Option<&TruthTable> {
-        let i = id.index();
-        (self.stamp[i] == self.epoch).then(|| &self.values[self.slot[i] as usize])
-    }
-
-    /// The table seen through fanin edge `s` (negated into an owned copy
-    /// only when the edge is complemented; plain edges borrow).
-    fn fanin_table(&self, s: Signal) -> Option<std::borrow::Cow<'_, TruthTable>> {
-        let base = self.get(s.node())?;
-        Some(if s.is_complement() {
-            std::borrow::Cow::Owned(base.not())
-        } else {
-            std::borrow::Cow::Borrowed(base)
-        })
-    }
-
-    /// Computes the function of `root` over the cone bounded by `leaves`.
-    ///
-    /// Returns `None` when a cone node depends on something that is neither a
-    /// cone node nor a leaf (should not happen for MFFC cones) or when the
-    /// leaf count exceeds eight variables.
-    fn cone_function(
-        &mut self,
-        network: &Network,
-        cone: &[NodeId],
-        root: NodeId,
-        leaves: &[NodeId],
-    ) -> Option<TruthTable> {
-        if leaves.len() > 8 || leaves.is_empty() {
-            return None;
-        }
-        let n = leaves.len();
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.values.clear();
-        for (i, &l) in leaves.iter().enumerate() {
-            self.bind(l, TruthTable::var(n, i));
-        }
-        self.bind(NodeId::CONST0, TruthTable::zeros(n));
-        self.sorted.clear();
-        self.sorted.extend_from_slice(cone);
-        self.sorted.sort_unstable();
-        for idx in 0..self.sorted.len() {
-            let id = self.sorted[idx];
-            if self.get(id).is_some() {
-                continue;
-            }
-            let node = network.node(id);
-            let table = {
-                let f = node.fanins();
-                match node.kind() {
-                    GateKind::And2 => {
-                        let a = self.fanin_table(f[0])?;
-                        let b = self.fanin_table(f[1])?;
-                        a.and(&b)
-                    }
-                    GateKind::Xor2 => {
-                        let a = self.fanin_table(f[0])?;
-                        let b = self.fanin_table(f[1])?;
-                        a.xor(&b)
-                    }
-                    GateKind::Maj3 => {
-                        let a = self.fanin_table(f[0])?;
-                        let b = self.fanin_table(f[1])?;
-                        let c = self.fanin_table(f[2])?;
-                        TruthTable::maj(&a, &b, &c)
-                    }
-                    _ => return None,
-                }
-            };
-            self.bind(id, table);
-        }
-        self.get(root).cloned()
-    }
-}
-
-/// Scratch reused across the nodes of one resynthesis pass: the dense cone
+/// Scratch reused across the nodes of one resynthesis pass: the cone
 /// evaluator and a leaf-signal buffer.
 struct NodeScratch {
-    cone: ConeScratch,
+    cone: ConeEvaluator,
     leaf_sigs: Vec<Signal>,
 }
 
@@ -376,7 +259,7 @@ fn mffc_candidate(
     network: &Network,
     params: &MchParams,
     id: NodeId,
-    cone: &mut ConeScratch,
+    cone: &mut ConeEvaluator,
 ) -> Option<(TruthTable, Vec<Signal>)> {
     let mffc_cone = mffc(network, id, params.mffc_max_inputs);
     if mffc_cone.size() < 2
@@ -387,7 +270,7 @@ fn mffc_candidate(
     }
     let mut leaves = mffc_cone.leaves.clone();
     leaves.sort();
-    let function = cone.cone_function(network, &mffc_cone.nodes, id, &leaves)?;
+    let function = cone.function(network, &mffc_cone.nodes, id, &leaves)?;
     if function.is_const0() || function.is_const1() {
         return None;
     }
@@ -572,7 +455,7 @@ pub fn build_mch_with_stats_shared(
         None => NpnDatabase::new(),
     };
     let mut scratch = NodeScratch {
-        cone: ConeScratch::new(network.len()),
+        cone: ConeEvaluator::new(),
         leaf_sigs: Vec::new(),
     };
     for id in network.gate_ids() {
@@ -757,7 +640,7 @@ mod tests {
 
     #[test]
     fn cone_scratch_matches_map_based_reference() {
-        // Dense scratch evaluation vs the original HashMap-based evaluation,
+        // Kernel-based cone evaluation vs the original HashMap-based evaluation,
         // over every MFFC the construction would look at.
         fn cone_function_reference(
             network: &Network,
@@ -798,8 +681,11 @@ mod tests {
             values.get(&root).cloned()
         }
 
-        for net in [sample_network(), wide_network()] {
-            let mut scratch = ConeScratch::new(net.len());
+        // The XMG copy's AND and OR gates read the constant node, so its
+        // MFFCs have constant leaves.
+        let xmg = mch_logic::convert(&wide_network(), NetworkKind::Xmg);
+        for net in [sample_network(), wide_network(), xmg] {
+            let mut scratch = ConeEvaluator::new();
             let mut checked = 0usize;
             for id in net.gate_ids() {
                 let cone = mffc(&net, id, 8);
@@ -808,7 +694,7 @@ mod tests {
                 }
                 let mut leaves = cone.leaves.clone();
                 leaves.sort();
-                let fast = scratch.cone_function(&net, &cone.nodes, id, &leaves);
+                let fast = scratch.function(&net, &cone.nodes, id, &leaves);
                 let slow = cone_function_reference(&net, &cone.nodes, id, &leaves);
                 assert_eq!(fast, slow, "cone of {id} diverged");
                 checked += usize::from(fast.is_some());

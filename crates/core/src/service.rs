@@ -7,10 +7,11 @@
 //! of coordinator threads: by default as many as the global [`WorkerPool`]
 //! budget, or the cap set by
 //! [`with_max_in_flight`](MappingService::with_max_in_flight). Each
-//! coordinator claims jobs off a shared cursor and drives the ordinary flow
-//! phases, which fan out per `config.threads` exactly as in a solo run, so a
-//! small job backfills a coordinator that finished early instead of waiting
-//! for a big one.
+//! coordinator claims jobs off a shared cursor, largest first by input gate
+//! count, and drives the ordinary flow phases, which fan out per
+//! `config.threads` exactly as in a solo run, so a small job backfills a
+//! coordinator that finished early instead of the batch ending on a big job
+//! running alone.
 //!
 //! # Determinism
 //!
@@ -384,7 +385,8 @@ impl MappingService {
     /// submission order.
     ///
     /// At most the in-flight cap of coordinator threads (the calling thread
-    /// is one) claim jobs in submission order and drive their flows' phases.
+    /// is one) claim jobs largest first, by input gate count with ties in
+    /// submission order, and drive their flows' phases.
     /// Each job's outcome is independent: a panic or budget breach in one job
     /// is contained to that job's report.
     ///
@@ -404,6 +406,11 @@ impl MappingService {
             return jobs.into_iter().map(|job| self.run_job(job)).collect();
         }
 
+        // Coordinators claim the largest unclaimed job first (by input gate
+        // count, ties in submission order), so that the batch does not end
+        // on a big job running alone.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_cached_key(|&i| std::cmp::Reverse(jobs[i].network.gate_count()));
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<JobSlot>> = jobs
             .into_iter()
@@ -416,12 +423,13 @@ impl MappingService {
             .collect();
         std::thread::scope(|scope| {
             // The calling thread is one coordinator; spawn the rest. Each
-            // coordinator claims job indices off the shared cursor until the
-            // batch is drained, so small jobs backfill finished coordinators.
+            // coordinator claims jobs in `order` off the shared cursor until
+            // the batch is drained, so small jobs backfill finished
+            // coordinators.
             for _ in 1..in_flight {
-                scope.spawn(|| self.drain(&cursor, &slots));
+                scope.spawn(|| self.drain(&cursor, &order, &slots));
             }
-            self.drain(&cursor, &slots);
+            self.drain(&cursor, &order, &slots);
         });
         slots
             .into_iter()
@@ -442,14 +450,14 @@ impl MappingService {
             .collect()
     }
 
-    /// Coordinator loop: claim the next unclaimed job, run it, publish its
-    /// report into its submission slot.
-    fn drain(&self, cursor: &AtomicUsize, slots: &[Mutex<JobSlot>]) {
+    /// Coordinator loop: claim the next unclaimed job in `order`, run it,
+    /// publish its report into its submission slot.
+    fn drain(&self, cursor: &AtomicUsize, order: &[usize], slots: &[Mutex<JobSlot>]) {
         loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(i) else {
+            let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
                 return;
             };
+            let slot = &slots[i];
             let job = slot
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)

@@ -7,7 +7,9 @@
 //! * [`TruthTable`] and NPN classification ([`npn_canonical`]);
 //! * traversal helpers (fanouts, TFI/TFO, [`mffc`], [`critical_path_nodes`],
 //!   topological [`levelize`] grouping);
-//! * word-parallel simulation and equivalence checking ([`cec`]);
+//! * one word-parallel simulation kernel ([`simulate_gates`], over a flat
+//!   node × words arena) under whole-network simulation, equivalence
+//!   checking ([`cec`]) and cone functions ([`ConeEvaluator`]);
 //! * one-to-one conversion between representations ([`convert`]).
 //!
 //! # Example
@@ -57,7 +59,8 @@ pub use npn::{npn_apply_inverse, npn_canonical, npn_semi_canonical, NpnCanonical
 pub use rng::Prng;
 pub use signal::{NodeId, Signal};
 pub use simulate::{
-    cec, equivalent_exhaustive, equivalent_random, output_truth_tables, simulate, simulate_nodes, Equivalence,
+    cec, equivalent_exhaustive, equivalent_random, output_truth_tables, simulate, simulate_gates,
+    simulate_nodes, ConeEvaluator, Equivalence, NodeValues,
 };
 pub use stats::NetworkStats;
 pub use traversal::{

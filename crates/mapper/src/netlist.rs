@@ -26,18 +26,81 @@ fn eval_table(table: &TruthTable, inputs: &[u64]) -> u64 {
     out
 }
 
-fn resolve_word(r: &NetRef, patterns: &[Vec<u64>], gates: &[Vec<u64>], w: usize) -> u64 {
-    match r {
-        NetRef::Const(v) => {
-            if *v {
-                !0u64
-            } else {
-                0u64
-            }
-        }
-        NetRef::Input(i) => patterns[*i][w],
-        NetRef::Gate(i) => gates[*i][w],
+/// Logic depth of a netlist whose gates, in topological order, have the
+/// given fanins: the one body behind both netlist types' `level_count`.
+fn level_count<'a>(gates: impl Iterator<Item = &'a [NetRef]>, outputs: &[NetRef]) -> u32 {
+    let mut levels: Vec<u32> = Vec::new();
+    let level = |r: &NetRef, levels: &[u32]| match r {
+        NetRef::Gate(i) => levels[*i],
+        _ => 0,
+    };
+    for fanins in gates {
+        let fanin_level = fanins.iter().map(|f| level(f, &levels)).max();
+        levels.push(1 + fanin_level.unwrap_or(0));
     }
+    outputs.iter().map(|o| level(o, &levels)).max().unwrap_or(0)
+}
+
+/// Rebuilds a logic network from `(function, fanins)` pairs in topological
+/// order: the one body behind both netlist types' `to_network`.
+fn to_network<'a>(
+    name: &str,
+    inputs: usize,
+    gates: impl Iterator<Item = (&'a TruthTable, &'a [NetRef])>,
+    outputs: &[NetRef],
+) -> Network {
+    let mut net = Network::with_name(NetworkKind::Mixed, name.to_string());
+    let pis = net.add_inputs(inputs);
+    let mut signals: Vec<Signal> = Vec::new();
+    let resolve = |r: &NetRef, signals: &[Signal]| match r {
+        NetRef::Const(v) => Signal::CONST0.xor_complement(*v),
+        NetRef::Input(i) => pis[*i],
+        NetRef::Gate(i) => signals[*i],
+    };
+    for (function, fanins) in gates {
+        let leaves: Vec<Signal> = fanins.iter().map(|f| resolve(f, &signals)).collect();
+        signals.push(emit_decomposed(&mut net, function, &leaves));
+    }
+    for o in outputs {
+        net.add_output(resolve(o, &signals));
+    }
+    net
+}
+
+/// Simulates `(function, fanins)` pairs in topological order with
+/// [`eval_table`], one flat row of words per gate: the one body behind both
+/// netlist types' `simulate`. A zero-input netlist is simulated on one word,
+/// as [`mch_logic::simulate`] does, so the results stay comparable.
+fn simulate<'a>(
+    inputs: usize,
+    gates: impl Iterator<Item = (&'a TruthTable, &'a [NetRef])>,
+    outputs: &[NetRef],
+    patterns: &[Vec<u64>],
+) -> Vec<Vec<u64>> {
+    assert_eq!(patterns.len(), inputs, "one pattern row per input");
+    let words = patterns.first().map_or(1, Vec::len);
+    for row in patterns {
+        assert_eq!(row.len(), words, "inconsistent pattern widths");
+    }
+    let word = |r: &NetRef, values: &[u64], w: usize| match r {
+        NetRef::Const(true) => !0,
+        NetRef::Const(false) => 0,
+        NetRef::Input(i) => patterns[*i][w],
+        NetRef::Gate(i) => values[i * words + w],
+    };
+    let mut values: Vec<u64> = Vec::new();
+    let mut ins: Vec<u64> = Vec::new();
+    for (function, fanins) in gates {
+        for w in 0..words {
+            ins.clear();
+            ins.extend(fanins.iter().map(|f| word(f, &values, w)));
+            values.push(eval_table(function, &ins));
+        }
+    }
+    outputs
+        .iter()
+        .map(|o| (0..words).map(|w| word(o, &values, w)).collect())
+        .collect()
 }
 
 /// Reference to a driver inside a mapped netlist.
@@ -170,49 +233,21 @@ impl CellNetlist {
 
     /// Logic depth in cell levels.
     pub fn level_count(&self) -> u32 {
-        let mut levels = vec![0u32; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            levels[i] = 1 + g
-                .fanins
-                .iter()
-                .map(|f| match f {
-                    NetRef::Gate(j) => levels[*j],
-                    _ => 0,
-                })
-                .max()
-                .unwrap_or(0);
-        }
-        self.outputs
-            .iter()
-            .map(|o| match o {
-                NetRef::Gate(i) => levels[*i],
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
+        level_count(
+            self.gates.iter().map(|g| g.fanins.as_slice()),
+            &self.outputs,
+        )
     }
 
     /// Rebuilds a logic network implementing the netlist, for equivalence
     /// checking against the pre-mapping network.
     pub fn to_network(&self, library: &Library) -> Network {
-        let mut net = Network::with_name(NetworkKind::Mixed, self.name.clone());
-        let pis = net.add_inputs(self.inputs);
-        let mut signals: Vec<Signal> = Vec::with_capacity(self.gates.len());
-        for g in &self.gates {
-            let leaves: Vec<Signal> = g
-                .fanins
-                .iter()
-                .map(|f| resolve(f, &pis, &signals, &net))
-                .collect();
-            let function = library.cell(g.cell).function().clone();
-            let out = emit_decomposed(&mut net, &function, &leaves);
-            signals.push(out);
-        }
-        for o in &self.outputs {
-            let s = resolve(o, &pis, &signals, &net);
-            net.add_output(s);
-        }
-        net
+        to_network(
+            &self.name,
+            self.inputs,
+            self.functions(library),
+            &self.outputs,
+        )
     }
 
     /// Simulates the netlist on word-parallel input patterns.
@@ -228,39 +263,22 @@ impl CellNetlist {
     /// Panics if the number of pattern rows differs from the input count or
     /// the rows have inconsistent lengths.
     pub fn simulate(&self, library: &Library, patterns: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        assert_eq!(patterns.len(), self.inputs, "one pattern row per input");
-        let words = patterns.first().map_or(0, Vec::len);
-        for row in patterns {
-            assert_eq!(row.len(), words, "inconsistent pattern widths");
-        }
-        let mut values: Vec<Vec<u64>> = Vec::with_capacity(self.gates.len());
-        let mut ins: Vec<u64> = Vec::new();
-        for g in &self.gates {
-            let function = library.cell(g.cell).function();
-            let mut out = vec![0u64; words];
-            for (w, slot) in out.iter_mut().enumerate() {
-                ins.clear();
-                ins.extend(
-                    g.fanins
-                        .iter()
-                        .map(|f| resolve_word(f, patterns, &values, w)),
-                );
-                *slot = eval_table(function, &ins);
-            }
-            values.push(out);
-        }
-        self.outputs
-            .iter()
-            .map(|o| (0..words).map(|w| resolve_word(o, patterns, &values, w)).collect())
-            .collect()
+        simulate(
+            self.inputs,
+            self.functions(library),
+            &self.outputs,
+            patterns,
+        )
     }
-}
 
-fn resolve(r: &NetRef, pis: &[Signal], gates: &[Signal], net: &Network) -> Signal {
-    match r {
-        NetRef::Const(v) => net.constant(*v),
-        NetRef::Input(i) => pis[*i],
-        NetRef::Gate(i) => gates[*i],
+    /// Each gate's cell function and fanins, in topological order.
+    fn functions<'a>(
+        &'a self,
+        library: &'a Library,
+    ) -> impl Iterator<Item = (&'a TruthTable, &'a [NetRef])> {
+        self.gates
+            .iter()
+            .map(move |g| (library.cell(g.cell).function(), g.fanins.as_slice()))
     }
 }
 
@@ -357,48 +375,13 @@ impl LutNetlist {
 
     /// Logic depth in LUT levels (the EPFL challenge's second metric).
     pub fn level_count(&self) -> u32 {
-        let mut levels = vec![0u32; self.luts.len()];
-        for (i, l) in self.luts.iter().enumerate() {
-            levels[i] = 1 + l
-                .fanins
-                .iter()
-                .map(|f| match f {
-                    NetRef::Gate(j) => levels[*j],
-                    _ => 0,
-                })
-                .max()
-                .unwrap_or(0);
-        }
-        self.outputs
-            .iter()
-            .map(|o| match o {
-                NetRef::Gate(i) => levels[*i],
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0)
+        level_count(self.luts.iter().map(|l| l.fanins.as_slice()), &self.outputs)
     }
 
     /// Rebuilds a logic network implementing the netlist, for equivalence
     /// checking against the pre-mapping network.
     pub fn to_network(&self) -> Network {
-        let mut net = Network::with_name(NetworkKind::Mixed, self.name.clone());
-        let pis = net.add_inputs(self.inputs);
-        let mut signals: Vec<Signal> = Vec::with_capacity(self.luts.len());
-        for l in &self.luts {
-            let leaves: Vec<Signal> = l
-                .fanins
-                .iter()
-                .map(|f| resolve(f, &pis, &signals, &net))
-                .collect();
-            let out = emit_decomposed(&mut net, &l.function, &leaves);
-            signals.push(out);
-        }
-        for o in &self.outputs {
-            let s = resolve(o, &pis, &signals, &net);
-            net.add_output(s);
-        }
-        net
+        to_network(&self.name, self.inputs, self.functions(), &self.outputs)
     }
 
     /// Simulates the netlist on word-parallel input patterns.
@@ -414,30 +397,12 @@ impl LutNetlist {
     /// Panics if the number of pattern rows differs from the input count or
     /// the rows have inconsistent lengths.
     pub fn simulate(&self, patterns: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        assert_eq!(patterns.len(), self.inputs, "one pattern row per input");
-        let words = patterns.first().map_or(0, Vec::len);
-        for row in patterns {
-            assert_eq!(row.len(), words, "inconsistent pattern widths");
-        }
-        let mut values: Vec<Vec<u64>> = Vec::with_capacity(self.luts.len());
-        let mut ins: Vec<u64> = Vec::new();
-        for l in &self.luts {
-            let mut out = vec![0u64; words];
-            for (w, slot) in out.iter_mut().enumerate() {
-                ins.clear();
-                ins.extend(
-                    l.fanins
-                        .iter()
-                        .map(|f| resolve_word(f, patterns, &values, w)),
-                );
-                *slot = eval_table(&l.function, &ins);
-            }
-            values.push(out);
-        }
-        self.outputs
-            .iter()
-            .map(|o| (0..words).map(|w| resolve_word(o, patterns, &values, w)).collect())
-            .collect()
+        simulate(self.inputs, self.functions(), &self.outputs, patterns)
+    }
+
+    /// Each LUT's function and fanins, in topological order.
+    fn functions(&self) -> impl Iterator<Item = (&TruthTable, &[NetRef])> {
+        self.luts.iter().map(|l| (&l.function, l.fanins.as_slice()))
     }
 }
 
@@ -534,6 +499,15 @@ mod tests {
         let via_network = mch_logic::simulate(&nl.to_network(), &patterns);
         assert_eq!(direct, via_network);
         assert_eq!(direct[1], vec![!0u64]);
+
+        // Without inputs, both sides simulate one word.
+        let mut constants = LutNetlist::new("c", 0);
+        let one = constants.push_lut(TruthTable::constant(0, true), vec![]);
+        constants.push_output(one);
+        constants.push_output(NetRef::Const(false));
+        let direct = constants.simulate(&[]);
+        assert_eq!(direct, mch_logic::simulate(&constants.to_network(), &[]));
+        assert_eq!(direct, [vec![!0u64], vec![0]]);
     }
 
     #[test]
@@ -552,6 +526,18 @@ mod tests {
         assert_eq!(direct, via_network);
         // g1 is the AND of the two inputs.
         assert_eq!(direct[0][0], patterns[0][0] & patterns[1][0]);
+
+        // Without inputs, both sides simulate one word.
+        let mut constants = CellNetlist::new("c", 0);
+        let low = constants.push_gate(inv, vec![NetRef::Const(true)]);
+        constants.push_output(low);
+        constants.push_output(NetRef::Const(true));
+        let direct = constants.simulate(&lib, &[]);
+        assert_eq!(
+            direct,
+            mch_logic::simulate(&constants.to_network(&lib), &[])
+        );
+        assert_eq!(direct, [vec![0u64], vec![!0]]);
     }
 
     #[test]

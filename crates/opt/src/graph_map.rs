@@ -11,55 +11,13 @@
 //! algorithm.
 
 use mch_choice::{ChoiceNetwork, NpnDatabase, SynthesisStrategy};
-use mch_logic::{GateKind, Network, NetworkKind, NodeId, Signal, TruthTable};
+use mch_logic::{Network, NetworkKind, Signal, TruthTable};
 use mch_mapper::{map_lut, LutMapParams, MappingObjective, NetRef};
 use mch_techlib::LutLibrary;
 use std::collections::HashMap;
 
 /// Cut size used when harvesting cones for graph mapping.
 const GRAPH_MAP_CUT_SIZE: usize = 4;
-
-/// Computes the function of `root` over the cone bounded by `leaves`.
-///
-/// Returns `None` when a cone node depends on something that is neither a cone
-/// node nor a leaf, or when there are more than eight leaves.
-pub(crate) fn cone_function(
-    network: &Network,
-    cone: &[NodeId],
-    root: NodeId,
-    leaves: &[NodeId],
-) -> Option<TruthTable> {
-    if leaves.len() > 8 || leaves.is_empty() {
-        return None;
-    }
-    let n = leaves.len();
-    let mut values: HashMap<NodeId, TruthTable> = HashMap::new();
-    for (i, &l) in leaves.iter().enumerate() {
-        values.insert(l, TruthTable::var(n, i));
-    }
-    values.insert(NodeId::CONST0, TruthTable::zeros(n));
-    let mut sorted: Vec<NodeId> = cone.to_vec();
-    sorted.sort();
-    for id in sorted {
-        if values.contains_key(&id) {
-            continue;
-        }
-        let node = network.node(id);
-        let mut fs = Vec::with_capacity(3);
-        for s in node.fanins() {
-            let base = values.get(&s.node())?;
-            fs.push(if s.is_complement() { base.not() } else { base.clone() });
-        }
-        let t = match node.kind() {
-            GateKind::And2 => fs[0].and(&fs[1]),
-            GateKind::Xor2 => fs[0].xor(&fs[1]),
-            GateKind::Maj3 => TruthTable::maj(&fs[0], &fs[1], &fs[2]),
-            _ => return None,
-        };
-        values.insert(id, t);
-    }
-    values.get(&root).cloned()
-}
 
 /// Graph-maps a choice network into the `target` representation.
 ///
@@ -213,21 +171,5 @@ mod tests {
         let mch = build_mch(&net, &MchParams::mixed(&[NetworkKind::Mig, NetworkKind::Xmg]));
         let mapped = graph_map_with_choices(&mch, NetworkKind::Xmg, MappingObjective::Area);
         assert!(cec(&net, &mapped).holds());
-    }
-
-    #[test]
-    fn cone_function_matches_direct_evaluation() {
-        let mut n = Network::new(NetworkKind::Aig);
-        let xs = n.add_inputs(3);
-        let ab = n.and2(xs[0], xs[1]);
-        let f = n.and2(ab, !xs[2]);
-        n.add_output(f);
-        let cone = vec![ab.node(), f.node()];
-        let leaves: Vec<NodeId> = xs.iter().map(|s| s.node()).collect();
-        let t = cone_function(&n, &cone, f.node(), &leaves).unwrap();
-        let a = TruthTable::var(3, 0);
-        let b = TruthTable::var(3, 1);
-        let c = TruthTable::var(3, 2);
-        assert_eq!(t, a.and(&b).and(&c.not()));
     }
 }

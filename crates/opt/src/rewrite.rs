@@ -3,7 +3,7 @@
 
 use mch_choice::{NpnDatabase, SynthesisStrategy};
 use mch_cut::{enumerate_cuts, CutParams};
-use mch_logic::{mffc, GateKind, Network, NodeId, Signal};
+use mch_logic::{mffc, ConeEvaluator, GateKind, Network, NodeId, Signal};
 use std::collections::HashSet;
 
 fn copy_gate(out: &mut Network, kind: GateKind, fanins: &[Signal]) -> Signal {
@@ -54,6 +54,7 @@ pub fn refactor(network: &Network) -> Network {
 fn rewrite_with(network: &Network, strategy: SynthesisStrategy, cut_size: usize) -> Network {
     let cuts = enumerate_cuts(network, &CutParams::new(cut_size, 6));
     let mut db = NpnDatabase::new();
+    let mut cones = ConeEvaluator::new();
     let mut out = Network::with_name(network.kind(), network.name().to_string());
     let mut map: Vec<Signal> = vec![Signal::CONST0; network.len()];
     for &pi in network.inputs() {
@@ -92,8 +93,7 @@ fn rewrite_with(network: &Network, strategy: SynthesisStrategy, cut_size: usize)
             if cone.size() >= 3 && cone.leaves.len() >= 2 && cone.leaves.len() <= 8 {
                 let mut leaves = cone.leaves.clone();
                 leaves.sort();
-                if let Some(f) = super::graph_map::cone_function(network, &cone.nodes, id, &leaves)
-                {
+                if let Some(f) = cones.function(network, &cone.nodes, id, &leaves) {
                     let candidate = mch_choice::synthesize(&f, network.kind(), strategy);
                     let cost = candidate.gate_count();
                     if cost < cone.size() && best.as_ref().is_none_or(|(c, _, _)| cost < *c) {

@@ -24,7 +24,7 @@ impl fmt::Display for CellId {
 ///
 /// The timing model is deliberately simple — one pin-to-output delay shared by
 /// all pins — because the mapper experiments only rely on *relative* cell
-/// costs (see the substitution notes in `DESIGN.md`).
+/// costs (see the README, "Substitutions").
 #[derive(Clone, PartialEq, Debug)]
 pub struct Cell {
     name: String,

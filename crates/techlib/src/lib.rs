@@ -8,7 +8,7 @@
 //! * a small genlib-style text format ([`parse_genlib`]) plus a Boolean
 //!   expression parser;
 //! * [`asap7_lite`] — an ASAP7-magnitude cell set used throughout the
-//!   experiments (see `DESIGN.md` for the substitution rationale);
+//!   experiments (see the README, "Substitutions");
 //! * [`LutLibrary`] — the K-LUT cost model for FPGA mapping.
 //!
 //! # Example

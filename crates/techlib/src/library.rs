@@ -325,7 +325,8 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 /// inverters/buffers, NAND/NOR/AND/OR up to four inputs, XOR/XNOR, AOI/OAI
 /// complex gates, multiplexers and a three-input majority gate. Areas are in
 /// µm² and delays in ps with magnitudes comparable to ASAP7 typical corners;
-/// see `DESIGN.md` for why only the relative costs matter for reproduction.
+/// the README's "Substitutions" list says why only the relative costs matter
+/// for reproduction.
 pub fn asap7_lite() -> Library {
     let mut lib = Library::new("asap7-lite");
     let cells: &[(&str, usize, &str, f64, f64)] = &[

@@ -154,11 +154,11 @@ fn check_cut_functions(net: &Network, params: &CutParams, label: &str) {
             );
             // Evaluate the cut function bit-parallel over the simulated leaf
             // values; must equal the root's simulated values.
-            for (w, &root_word) in values[id.index()].iter().enumerate() {
+            for (w, &root_word) in values.row(id).iter().enumerate() {
                 for b in 0..64 {
                     let mut minterm = 0usize;
-                    for (v, leaf) in leaves.iter().enumerate() {
-                        if values[leaf.index()][w] >> b & 1 == 1 {
+                    for (v, &leaf) in leaves.iter().enumerate() {
+                        if values.row(leaf)[w] >> b & 1 == 1 {
                             minterm |= 1 << v;
                         }
                     }
