@@ -71,7 +71,9 @@ pub enum JobKind {
     /// The fused MCH K-LUT flow: an ASIC guide cover over the cell library
     /// feeds the LUT cover per [`MchConfig::fusion`] (see
     /// [`mch_mapper::fusion`]). With [`FusionMode::Off`](mch_mapper::FusionMode)
-    /// in the config this is byte-identical to [`JobKind::LutMch`].
+    /// in the config this is byte-identical to [`JobKind::LutMch`]. The job
+    /// owns its [`Library`] by value, which costs no copy of the matching
+    /// index: a library clone shares it.
     LutFusedMch(LutLibrary, Library),
     /// A parameter sweep: the base flow kind run once per variant config over
     /// one circuit, in variant order. The service's warm-start cache
@@ -101,7 +103,8 @@ pub struct Job {
 }
 
 impl Job {
-    /// An MCH ASIC mapping job.
+    /// An MCH ASIC mapping job. Passing `library.clone()` is cheap: the
+    /// clone shares the library's matching index instead of copying it.
     pub fn asic(
         name: impl Into<String>,
         network: Network,
@@ -135,7 +138,8 @@ impl Job {
 
     /// A fused MCH K-LUT mapping job: `library` drives the ASIC guide cover
     /// (see [`JobKind::LutFusedMch`]); `config.fusion` selects the fusion
-    /// mode.
+    /// mode. Passing `library.clone()` is cheap: the clone shares the
+    /// library's matching index, so building a job per variant copies none.
     pub fn lut_fused(
         name: impl Into<String>,
         network: Network,

@@ -349,36 +349,77 @@ impl TruthTable {
         t
     }
 
-    /// Negative cofactor with respect to `var` (result keeps `num_vars` vars).
+    /// Negative cofactor with respect to `var` (result keeps `num_vars` vars):
+    /// the `var = 0` half of the table, copied over the `var = 1` half.
+    ///
+    /// Runs on whole words: below six the half is masked out of each word
+    /// and shifted across by `2^var` bits, from six on whole words are copied
+    /// across the variable's block stride.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn cofactor0(&self, var: usize) -> TruthTable {
-        let mut t = self.clone();
-        for i in 0..self.num_bits() {
-            if i & (1 << var) != 0 {
-                t.set_bit(i, self.bit(i & !(1 << var)));
-            }
-        }
-        t
+        self.cofactor(var, false)
     }
 
-    /// Positive cofactor with respect to `var` (result keeps `num_vars` vars).
+    /// Positive cofactor with respect to `var` (result keeps `num_vars` vars):
+    /// the `var = 1` half of the table, copied over the `var = 0` half. Runs
+    /// on whole words, as [`cofactor0`](TruthTable::cofactor0) does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn cofactor1(&self, var: usize) -> TruthTable {
+        self.cofactor(var, true)
+    }
+
+    fn cofactor(&self, var: usize, value: bool) -> TruthTable {
+        assert!(var < self.num_vars(), "variable index out of range");
         let mut t = self.clone();
-        for i in 0..self.num_bits() {
-            if i & (1 << var) == 0 {
-                t.set_bit(i, self.bit(i | (1 << var)));
+        match &mut t.repr {
+            Repr::Small(w) => *w = cofactor_u64(*w, var, value),
+            Repr::Big(words) if var < INLINE_VARS => {
+                for w in words.iter_mut() {
+                    *w = cofactor_u64(*w, var, value);
+                }
+            }
+            Repr::Big(words) => {
+                // Word `j` lies in the variable's 1-half iff bit `var - 6` of
+                // `j` is set; each block of `stride` words is followed by its
+                // 1-half partner.
+                let stride = 1 << (var - INLINE_VARS);
+                for block in words.chunks_exact_mut(2 * stride) {
+                    let (low, high) = block.split_at_mut(stride);
+                    if value {
+                        low.copy_from_slice(high);
+                    } else {
+                        high.copy_from_slice(low);
+                    }
+                }
             }
         }
         t
     }
 
     /// Returns `true` if the function does not depend on `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn is_independent_of(&self, var: usize) -> bool {
-        if let Repr::Small(w) = self.repr {
-            // Inline fast path: compare the two cofactor halves directly.
-            let mask = VAR_PATTERNS[var] & mask_for(self.num_vars as usize);
-            return (w & mask) >> (1 << var) == w & (mask >> (1 << var));
+        assert!(var < self.num_vars(), "variable index out of range");
+        match &self.repr {
+            Repr::Small(w) => independent_u64(*w, var),
+            Repr::Big(words) if var < INLINE_VARS => words.iter().all(|&w| independent_u64(w, var)),
+            Repr::Big(words) => {
+                let stride = 1 << (var - INLINE_VARS);
+                words.chunks_exact(2 * stride).all(|block| {
+                    let (low, high) = block.split_at(stride);
+                    low == high
+                })
+            }
         }
-        self.cofactor0(var) == self.cofactor1(var)
     }
 
     /// The set of variables the function actually depends on.
@@ -596,6 +637,31 @@ pub(crate) fn flip_u64(t: u64, v: usize) -> u64 {
     ((t & pv) >> shift) | ((t & !pv) << shift)
 }
 
+/// Cofactor of one word with respect to variable `v < 6`: the half with
+/// `v = value` is kept and copied onto the other half, which sits exactly
+/// `2^v` bit positions away. A table over more than `v` variables stays
+/// inside its `2^num_vars` bits.
+#[inline]
+fn cofactor_u64(t: u64, v: usize, value: bool) -> u64 {
+    let pv = VAR_PATTERNS[v];
+    let shift = 1u32 << v;
+    if value {
+        let kept = t & pv;
+        kept | (kept >> shift)
+    } else {
+        let kept = t & !pv;
+        kept | (kept << shift)
+    }
+}
+
+/// Whether one word's two cofactor halves with respect to `v < 6` agree:
+/// the `v = 1` half, shifted down by `2^v` bits, equals the `v = 0` half.
+#[inline]
+fn independent_u64(t: u64, v: usize) -> bool {
+    let pv = VAR_PATTERNS[v];
+    (t & pv) >> (1u32 << v) == t & !pv
+}
+
 /// Remaps a single-word table onto `new_num_vars <= 6` variables, sending old
 /// variable `i` to `placement[i]`. Used by the allocation-free cut hot path.
 ///
@@ -770,6 +836,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The retired per-minterm cofactors, kept as the reference semantics
+    /// for the word-level masks and block copies.
+    fn cofactor_reference(t: &TruthTable, var: usize, value: bool) -> TruthTable {
+        let mut out = t.clone();
+        for i in 0..t.num_bits() {
+            if (i & (1 << var) != 0) != value {
+                out.set_bit(i, t.bit(i ^ (1 << var)));
+            }
+        }
+        out
+    }
+
+    fn assert_cofactors_match_reference(t: &TruthTable) {
+        for var in 0..t.num_vars() {
+            let c0 = cofactor_reference(t, var, false);
+            let c1 = cofactor_reference(t, var, true);
+            assert_eq!(t.cofactor0(var), c0, "cofactor0({var}) of {t:?}");
+            assert_eq!(t.cofactor1(var), c1, "cofactor1({var}) of {t:?}");
+            assert_eq!(t.is_independent_of(var), c0 == c1, "var {var} of {t:?}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; release only")]
+    fn cofactors_match_reference_on_every_function_up_to_four_inputs() {
+        for vars in 0..=4usize {
+            for bits in 0..1u64 << (1 << vars) {
+                assert_cofactors_match_reference(&TruthTable::from_u64(vars, bits));
+            }
+        }
+    }
+
+    #[test]
+    fn cofactors_match_reference_on_sampled_five_and_six_input_functions() {
+        let mut rng = crate::Prng::seed_from_u64(0x434F_4641_4354);
+        for vars in [5usize, 6] {
+            for _ in 0..2000 {
+                assert_cofactors_match_reference(&TruthTable::from_u64(vars, rng.next_u64()));
+            }
+        }
+    }
+
+    #[test]
+    fn cofactors_match_reference_on_heap_tables() {
+        let mut rng = crate::Prng::seed_from_u64(0x4845_4150);
+        for vars in 7..=10usize {
+            for _ in 0..20 {
+                let words = (0..1 << (vars - INLINE_VARS)).map(|_| rng.next_u64());
+                let t = TruthTable::from_words(vars, words.collect());
+                assert_cofactors_match_reference(&t);
+                // Cofactored tables are independent of some variables, so
+                // both answers of `is_independent_of` are exercised on
+                // variables below and at or above six.
+                let half = t.cofactor1(vars - 1).cofactor0(2);
+                assert_cofactors_match_reference(&half);
+                assert!(half.is_independent_of(vars - 1) && half.is_independent_of(2));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "variable index out of range")]
+    fn cofactor0_rejects_a_variable_past_the_table() {
+        TruthTable::var(3, 0).cofactor0(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable index out of range")]
+    fn cofactor1_rejects_a_variable_past_the_table() {
+        TruthTable::var(3, 0).cofactor1(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable index out of range")]
+    fn independence_rejects_a_variable_past_the_table() {
+        // Past the inline word's six projection patterns, too.
+        TruthTable::var(3, 0).is_independent_of(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "variable index out of range")]
+    fn heap_cofactors_reject_a_variable_past_the_table() {
+        TruthTable::var(8, 0).cofactor1(8);
     }
 
     #[test]

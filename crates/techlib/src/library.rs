@@ -3,6 +3,7 @@
 use crate::{parse_expression, Cell, CellId};
 use mch_logic::TruthTable;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One way of implementing a cut function with a library cell.
 ///
@@ -53,11 +54,16 @@ impl CellMatch {
 /// hash lookup of its (support-reduced) function, and reads that function's
 /// best-area and best-delay matches, chosen once when the index was built
 /// ([`best_matches`](Library::best_matches)).
+///
+/// Cloning is cheap: a clone copies the cell list and shares the index,
+/// which holds more than a thousand functions for [`asap7_lite`]. The first
+/// [`add_cell`](Library::add_cell) on a clone copies the index before
+/// writing to it, so neither library ever sees the other's cells.
 #[derive(Clone, Debug, Default)]
 pub struct Library {
     name: String,
     cells: Vec<Cell>,
-    index: HashMap<TruthTable, MatchBucket>,
+    index: Arc<HashMap<TruthTable, MatchBucket>>,
     inverter: Option<CellId>,
     max_inputs: usize,
 }
@@ -77,7 +83,7 @@ impl Library {
         Library {
             name: name.into(),
             cells: Vec::new(),
-            index: HashMap::new(),
+            index: Arc::default(),
             inverter: None,
             max_inputs: 0,
         }
@@ -145,7 +151,8 @@ impl Library {
         self.cell(self.inverter()).delay()
     }
 
-    /// Adds a cell and indexes every NPN variant of its function.
+    /// Adds a cell and indexes every NPN variant of its function. The index
+    /// is copied first when another clone of this library shares it.
     pub fn add_cell(&mut self, cell: Cell) -> CellId {
         let id = CellId(self.cells.len() as u32);
         let n = cell.num_inputs();
@@ -162,6 +169,7 @@ impl Library {
             self.inverter = Some(id);
         }
         let cost = MatchCost::new(&self.cells, self.inverter);
+        let index = Arc::make_mut(&mut self.index);
         for perm in permutations(n) {
             for input_neg in 0..(1u32 << n) {
                 for output_neg in [false, true] {
@@ -172,7 +180,7 @@ impl Library {
                         input_neg,
                         output_neg,
                     };
-                    let bucket = self.index.entry(variant).or_default();
+                    let bucket = index.entry(variant).or_default();
                     if !bucket.matches.contains(&entry) {
                         bucket.push(entry, &cost);
                     }
@@ -181,7 +189,7 @@ impl Library {
         }
         if new_inverter {
             // Every inverter-using match changed cost: choose again.
-            for bucket in self.index.values_mut() {
+            for bucket in index.values_mut() {
                 bucket.choose(&cost);
             }
         }
@@ -520,6 +528,86 @@ mod tests {
             }
         }
         assert_eq!(lib.cell(lib.inverter()).name(), "INV_SMALL");
+    }
+
+    type CellSpec = (&'static str, usize, &'static str, f64, f64);
+
+    const BASE_CELLS: [CellSpec; 3] = [
+        ("NAND2", 2, "!(a & b)", 1.0, 10.0),
+        ("AND2", 2, "a & b", 1.3, 12.0),
+        ("INV_BIG", 1, "!a", 0.5, 3.0),
+    ];
+
+    /// A cheaper inverter (every bucket chooses again) and a wider cell.
+    const EXTRA_CELLS: [CellSpec; 2] = [
+        ("INV_SMALL", 1, "!a", 0.1, 4.0),
+        ("AOI21", 3, "!((a & b) | c)", 0.9, 9.0),
+    ];
+
+    fn add_cells(lib: &mut Library, cells: &[CellSpec]) {
+        for &(name, inputs, expr, area, delay) in cells {
+            let f = parse_expression(expr, inputs).expect("expression parses");
+            lib.add_cell(Cell::new(name, f, area, delay));
+        }
+    }
+
+    /// Everything a lookup can answer, per indexed function, in a stable
+    /// order.
+    fn answers(lib: &Library) -> Vec<(TruthTable, Vec<CellMatch>, CellMatch, CellMatch)> {
+        let mut out: Vec<_> = lib
+            .index
+            .keys()
+            .map(|f| {
+                let (area, delay) = lib.best_matches(f).expect("indexed");
+                (
+                    f.clone(),
+                    lib.matches(f).to_vec(),
+                    area.clone(),
+                    delay.clone(),
+                )
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    #[test]
+    fn a_clone_shares_the_match_index() {
+        let lib = asap7_lite();
+        let copy = lib.clone();
+        assert!(Arc::ptr_eq(&lib.index, &copy.index));
+        assert_eq!(copy, lib);
+    }
+
+    #[test]
+    fn adding_a_cell_to_a_clone_copies_the_index_on_write() {
+        let mut original = Library::new("cow");
+        add_cells(&mut original, &BASE_CELLS);
+        let before = answers(&original);
+        let mut copy = original.clone();
+        add_cells(&mut copy, &EXTRA_CELLS);
+        assert!(!Arc::ptr_eq(&original.index, &copy.index));
+
+        // The original answers exactly what it answered before.
+        assert_eq!(answers(&original), before);
+        assert_eq!(original.max_inputs(), 2);
+        assert_eq!(original.cell(original.inverter()).name(), "INV_BIG");
+
+        // The clone answers what a freshly built library answers.
+        let mut fresh = Library::new("cow");
+        add_cells(&mut fresh, &BASE_CELLS);
+        add_cells(&mut fresh, &EXTRA_CELLS);
+        assert_eq!(answers(&copy), answers(&fresh));
+        assert_eq!(copy.max_inputs(), 3);
+        assert_eq!(copy.inverter(), fresh.inverter());
+        assert_eq!(copy.cell(copy.inverter()).name(), "INV_SMALL");
+
+        // Equality still compares names and cell lists.
+        assert_eq!(copy, fresh);
+        assert_ne!(copy, original);
+        let mut renamed = Library::new("other");
+        add_cells(&mut renamed, &BASE_CELLS);
+        assert_ne!(renamed, original);
     }
 
     #[test]

@@ -137,3 +137,110 @@ const FUSED_INJECT: &[Pin] = &[
     ("router", 0x6d450f661a360ebb, "35 LUTs 8 levels"),
     ("i2c", 0x5041696c274e9b95, "172 LUTs 29 levels"),
 ];
+
+/// One pinned rebuilt network: `(circuit, structural fingerprint)`.
+type NetworkPin<'a> = (&'a str, u64);
+
+/// A flow under pin whose output is the network its closing check hands to
+/// `cec`: the mapped netlist rebuilt by `to_network`.
+type Rebuild = fn(&Network) -> Network;
+
+/// Pins the [`Network::structural_fingerprint`] of every rebuilt network, so
+/// a change to decomposition or cofactoring that moves a node of what CEC
+/// checks fails here even when the netlists themselves stay put.
+fn check_rebuilt(name: &str, rebuild: Rebuild, expected: &[NetworkPin]) {
+    let render =
+        |&(circuit, fingerprint): &NetworkPin<'_>| format!("(\"{circuit}\", {fingerprint:#018x}),");
+    let observed: Vec<String> = expected
+        .iter()
+        .map(|&(circuit, _)| {
+            let network = benchmark(circuit).expect("suite circuit");
+            render(&(circuit, rebuild(&network).structural_fingerprint()))
+        })
+        .collect();
+    let expected: Vec<String> = expected.iter().map(render).collect();
+    assert_eq!(
+        observed.join("\n"),
+        expected.join("\n"),
+        "{name} rebuilt-network pins changed"
+    );
+}
+
+fn asic_rebuilt(network: &Network, config: MchConfig) -> Network {
+    let library = asap7_lite();
+    let result =
+        try_asic_flow_mch(network, &library, &config.with_threads(1)).expect("suite circuits map");
+    result.netlist.to_network(&library)
+}
+
+fn lut_rebuilt(network: &Network, fused: bool) -> Network {
+    let k6 = LutLibrary::k6();
+    let result = if fused {
+        let config = MchConfig::lut_fusion().with_fusion(FusionMode::Inject);
+        try_lut_flow_mch_fused(network, &k6, &asap7_lite(), &config.with_threads(1))
+    } else {
+        try_lut_flow_mch(network, &k6, &MchConfig::lut_area().with_threads(1))
+    }
+    .expect("suite circuits map");
+    result.netlist.to_network()
+}
+
+#[test]
+fn delay_oriented_rebuilt_networks_are_pinned() {
+    check_rebuilt(
+        "delay_oriented",
+        |n| asic_rebuilt(n, MchConfig::delay_oriented()),
+        DELAY_ORIENTED_REBUILT,
+    );
+}
+
+#[test]
+fn area_oriented_rebuilt_networks_are_pinned() {
+    check_rebuilt(
+        "area_oriented",
+        |n| asic_rebuilt(n, MchConfig::area_oriented()),
+        AREA_ORIENTED_REBUILT,
+    );
+}
+
+#[test]
+fn lut_area_rebuilt_networks_are_pinned() {
+    check_rebuilt("lut_area", |n| lut_rebuilt(n, false), LUT_AREA_REBUILT);
+}
+
+#[test]
+fn fused_inject_rebuilt_networks_are_pinned() {
+    check_rebuilt(
+        "lut_fusion Inject",
+        |n| lut_rebuilt(n, true),
+        FUSED_INJECT_REBUILT,
+    );
+}
+
+const DELAY_ORIENTED_REBUILT: &[NetworkPin] = &[
+    ("ctrl", 0x7135067c4aaaffeb),
+    ("int2float", 0xc83102bf9ab5c5b2),
+    ("router", 0xd54712db75ebb6f0),
+    ("i2c", 0x4de0a30d8ca01854),
+];
+
+const AREA_ORIENTED_REBUILT: &[NetworkPin] = &[
+    ("ctrl", 0xab7f52978918a4df),
+    ("int2float", 0x0dbfdcf87ca883dd),
+    ("router", 0xf2272a2647c2f4aa),
+    ("i2c", 0x6384a54cbf26e0a9),
+];
+
+const LUT_AREA_REBUILT: &[NetworkPin] = &[
+    ("ctrl", 0x1ac0cf297651c4ac),
+    ("int2float", 0x60a80f64f42151ce),
+    ("router", 0xf2819c94310bf3af),
+    ("i2c", 0xfef5a2f28783fa0d),
+];
+
+const FUSED_INJECT_REBUILT: &[NetworkPin] = &[
+    ("ctrl", 0x1ac0cf297651c4ac),
+    ("int2float", 0x60a80f64f42151ce),
+    ("router", 0xf2819c94310bf3af),
+    ("i2c", 0x50d7225b71c63d04),
+];
