@@ -204,26 +204,20 @@ fn prove_links(network: &Network, pairs: &[(NodeId, Signal)]) -> Vec<bool> {
 /// SAT-sweeping-based choice construction; in place of the SAT proof, each
 /// link is proven by exhaustive simulation over the pair's primary-input
 /// support, which may hold at most 14 inputs. Wider pairs are not linked.
+/// All snapshots are linked in one sweep (see [`add_snapshot_views`]).
 ///
 /// # Panics
 ///
 /// Panics if a snapshot's interface differs from the original's.
 pub fn dch_from_snapshots(original: &Network, snapshots: &[Network]) -> ChoiceNetwork {
     let mut cn = ChoiceNetwork::from_network(original);
-    for snap in snapshots {
-        add_snapshot_choices(&mut cn, snap);
-    }
+    add_snapshot_views(&mut cn, snapshots);
     cn
 }
 
-/// Copies an optimized `snapshot` of the same design into an existing choice
-/// network and links its nodes to the originals they are proven equivalent to
-/// (see [`dch_from_snapshots`]).
-///
-/// This is the building block shared by the DCH baseline and the MCH flows
-/// that mix whole restructured views (e.g. the XAG or MIG graph-mapped version
-/// of the design) into the choice network, in addition to the per-node
-/// candidates of Algorithm 2.
+/// Copies one optimized `snapshot` of the same design into an existing
+/// choice network and links its nodes to the originals they are proven
+/// equivalent to: [`add_snapshot_views`] over a single view.
 ///
 /// Returns the number of new choices recorded.
 ///
@@ -231,25 +225,49 @@ pub fn dch_from_snapshots(original: &Network, snapshots: &[Network]) -> ChoiceNe
 ///
 /// Panics if the snapshot's interface differs from the choice network's.
 pub fn add_snapshot_choices(cn: &mut ChoiceNetwork, snapshot: &Network) -> usize {
-    assert_eq!(
-        snapshot.input_count(),
-        cn.network().input_count(),
-        "snapshot primary inputs must match the original"
-    );
-    assert_eq!(
-        snapshot.output_count(),
-        cn.network().output_count(),
-        "snapshot primary outputs must match the original"
-    );
+    add_snapshot_views(cn, std::slice::from_ref(snapshot))
+}
+
+/// Copies optimized `views` of the same design into an existing choice
+/// network, in order, and then links every copied node to the original it is
+/// proven equivalent to (see [`dch_from_snapshots`]) in one sweep: one
+/// signature simulation, one support pass and one proof pass over all views.
+///
+/// This is the building block shared by the DCH baseline and the MCH flows
+/// that mix whole restructured views (e.g. the XAG or MIG graph-mapped version
+/// of the design) into the choice network, in addition to the per-node
+/// candidates of Algorithm 2. The result equals [`add_snapshot_choices`] on
+/// each view in turn: a node's signature, support and proof depend only on
+/// its own cone, and linking never changes the network.
+///
+/// Returns the number of new choices recorded.
+///
+/// # Panics
+///
+/// Panics if a view's interface differs from the choice network's; the
+/// choice network is left untouched then.
+pub fn add_snapshot_views(cn: &mut ChoiceNetwork, views: &[Network]) -> usize {
+    for view in views {
+        assert_eq!(
+            view.input_count(),
+            cn.network().input_count(),
+            "snapshot primary inputs must match the original"
+        );
+        assert_eq!(
+            view.output_count(),
+            cn.network().output_count(),
+            "snapshot primary outputs must match the original"
+        );
+    }
+    let mixed = cn.network_mut();
     let mut copied: Vec<NodeId> = Vec::new();
-    {
-        let mixed = cn.network_mut();
-        let mut map: Vec<Signal> = vec![Signal::CONST0; snapshot.len()];
-        for (i, &pi) in snapshot.inputs().iter().enumerate() {
+    for view in views {
+        let mut map: Vec<Signal> = vec![Signal::CONST0; view.len()];
+        for (i, &pi) in view.inputs().iter().enumerate() {
             map[pi.index()] = mixed.input(i);
         }
-        for id in snapshot.gate_ids() {
-            let node = snapshot.node(id);
+        for id in view.gate_ids() {
+            let node = view.node(id);
             let f: Vec<Signal> = node
                 .fanins()
                 .iter()

@@ -46,10 +46,10 @@ mod sop;
 mod strategies;
 
 pub use choice_network::ChoiceNetwork;
-pub use dch::{add_snapshot_choices, dch_from_snapshots};
+pub use dch::{add_snapshot_choices, add_snapshot_views, dch_from_snapshots};
 pub use dsd::{decompose, emit_decomposed, Decomposition};
 pub use mch::{build_mch, build_mch_with_stats, build_mch_with_stats_shared, MchParams, MchStats};
-pub use npn_db::{NpnDatabase, NpnPlan, SharedNpnCache};
+pub use npn_db::{NpnDatabase, SharedNpnCache};
 pub use sop::{cover_implements, emit_factored, isop, literal_count, Cube};
 pub use strategies::{
     import_subnetwork, synthesize, StrategyEntry, StrategyLibrary, SynthesisStrategy,

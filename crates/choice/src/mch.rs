@@ -9,8 +9,8 @@
 //! * Algorithm 2 (multi-strategy resynthesis) visits every gate once: it
 //!   classifies the gate as critical or not, canonicalises each qualifying
 //!   cut function (and, off the critical path, the MFFC function) to its NPN
-//!   class, and plans and commits one candidate per strategy entry through
-//!   the [`NpnDatabase`], until the per-node candidate cap is reached.
+//!   class, and emits one candidate per strategy entry through the
+//!   [`NpnDatabase`], until the per-node candidate cap is reached.
 //!
 //! Only the cut enumeration that Algorithm 2 reads fans out over threads
 //! ([`enumerate_cuts_threaded`], byte-identical to the serial enumeration),
@@ -163,11 +163,12 @@ pub struct MchStats {
     pub one_to_one_time: Duration,
     /// Wall time of critical-path classification plus cut enumeration.
     pub cut_enum_time: Duration,
-    /// Wall time of resynthesis planning (MFFC evaluation, NPN
-    /// canonicalisation, class synthesis).
+    /// Wall time of resynthesis outside the commits (cut filtering, MFFC
+    /// evaluation, NPN canonicalisation).
     pub resynthesis_time: Duration,
-    /// Wall time of committing planned candidates into the choice network
-    /// (class imports, structural hashing, class linking).
+    /// Wall time of committing candidates into the choice network: class
+    /// synthesis on an NPN cache miss, class imports, structural hashing and
+    /// class linking.
     pub commit_time: Duration,
 }
 
@@ -278,9 +279,9 @@ fn mffc_candidate(
     Some((function, leaf_sigs))
 }
 
-/// Plans one candidate of `id` and commits it at once; returns whether it
-/// became a new choice. The commit and the choice link count as
-/// [`MchStats::commit_time`].
+/// Emits one candidate of `id` and links it; returns whether it became a new
+/// choice. The emission (with the class synthesis on a cache miss) and the
+/// choice link count as [`MchStats::commit_time`].
 fn emit_candidate(
     cn: &mut ChoiceNetwork,
     db: &mut NpnDatabase,
@@ -290,9 +291,8 @@ fn emit_candidate(
     leaves: &[Signal],
     entry: &StrategyEntry,
 ) -> bool {
-    let plan = db.plan_with_canon(canon, leaves, entry.kind, entry.strategy);
     let commit_start = Instant::now();
-    let sig = db.commit(cn.network_mut(), plan);
+    let sig = db.emit_with_canon(cn.network_mut(), canon, leaves, entry.kind, entry.strategy);
     let added = cn.add_choice(id, sig);
     stats.commit_time += commit_start.elapsed();
     added
@@ -300,8 +300,8 @@ fn emit_candidate(
 
 /// Algorithm 2 for one gate: cut candidates first (cut-major,
 /// strategy-minor), then — off the critical path — the MFFC candidate, each
-/// planned and committed in turn until the per-node candidate cap is
-/// reached, so the cap also caps the planning work.
+/// emitted in turn until the per-node candidate cap is reached, so the cap
+/// also caps the resynthesis work.
 #[allow(clippy::too_many_arguments)]
 fn emit_node(
     network: &Network,

@@ -7,22 +7,15 @@
 //! database generalises that idea to every (strategy, representation) pair the
 //! MCH construction uses.
 //!
-//! # Plan and commit
+//! # Emission order
 //!
-//! Emission has a read-only **plan** half and a mutating **commit** half:
-//!
-//! * [`NpnDatabase::plan`] canonicalises the function and, when the database
-//!   does not hold the class yet, synthesises the class representative and
-//!   ships it with the plan;
-//! * [`NpnDatabase::commit`] stores a shipped class, counts the hit or miss
-//!   and replays the class structure into the target network.
-//!
-//! The MCH construction commits every plan before it makes the next one, in
-//! node-id order, so the database contents and its hit/miss statistics are a
-//! function of the input network alone. The split lets the construction time
-//! the halves separately: [`MchStats`](crate::MchStats) counts planning as
-//! resynthesis time and commits as commit time. [`NpnDatabase::emit`] is plan
-//! immediately followed by commit.
+//! [`NpnDatabase::emit`] canonicalises the function, synthesises the class
+//! representative when the database does not hold the class yet, counts the
+//! hit or miss and replays the class structure into the target network.
+//! [`NpnDatabase::emit_with_canon`] does the same from a canonical form the
+//! caller already computed. The MCH construction emits in node-id order, so
+//! the database contents and its hit/miss statistics are a function of the
+//! input network alone.
 //!
 //! # Cross-job sharing
 //!
@@ -35,13 +28,14 @@
 //! function of the class key, whichever job wins the insert race stores
 //! exactly the network every other job would have stored — sharing can never
 //! change an emitted structure. The per-job database keeps counting its own
-//! hits and misses against its own cache in its own commit order, so per-job
+//! hits and misses against its own cache in its own emission order, so per-job
 //! statistics are byte-identical to a solo run whatever else is in flight.
 
 use crate::strategies::{import_subnetwork, synthesize, SynthesisStrategy};
 use mch_logic::{
     npn_canonical, npn_semi_canonical, Network, NetworkKind, NpnCanonical, Signal, TruthTable,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,38 +44,6 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// The key of one cached candidate structure: the NPN class representative
 /// plus the strategy and representation it was synthesised with.
 type ClassKey = (TruthTable, SynthesisStrategy, NetworkKind);
-
-/// A planned candidate emission: canonicalisation done, class representative
-/// available, leaves already permuted and complemented per the NPN transform.
-/// Produced by [`NpnDatabase::plan`]; replayed into a network by
-/// [`NpnDatabase::commit`].
-#[derive(Clone, Debug)]
-pub struct NpnPlan {
-    kind: PlanKind,
-}
-
-#[derive(Clone, Debug)]
-enum PlanKind {
-    /// Degenerate constant function — no gates, no cache traffic.
-    Constant(Signal),
-    /// A planned class replay (boxed: the class payload dwarfs the constant
-    /// variant).
-    Class(Box<PlanClass>),
-}
-
-#[derive(Clone, Debug)]
-struct PlanClass {
-    key: ClassKey,
-    /// The synthesised class network when the planning database did not hold
-    /// the class. `None` when it did; a commit into a database that lacks
-    /// the class re-synthesises it — the result is identical either way
-    /// because [`synthesize`] is pure.
-    synthesized: Option<Network>,
-    /// `leaves[perm[i]] ^ neg_i` — the signal driving canonical input `i`.
-    bound: Vec<Signal>,
-    /// Whether the canonical output is complemented w.r.t. the function.
-    output_neg: bool,
-}
 
 /// A process-wide, read-mostly store of synthesised class networks shared
 /// across concurrent mapping jobs (the second cache tier behind per-job
@@ -182,16 +144,6 @@ impl NpnDatabase {
         }
     }
 
-    /// Synthesises the class representative for `key`, going through the
-    /// shared store when one is attached. Identical output either way:
-    /// [`synthesize`] is pure.
-    fn synthesize_class(&self, key: &ClassKey) -> Network {
-        match &self.shared {
-            Some(shared) => shared.fetch_or_synthesize(key),
-            None => synthesize(&key.0, key.2, key.1),
-        }
-    }
-
     /// Number of cache hits so far.
     pub fn hits(&self) -> usize {
         self.hits
@@ -215,9 +167,9 @@ impl NpnDatabase {
     /// The NPN canonical form the database keys by: exact canonicalisation up
     /// to five variables, the cheaper semi-canonical form above.
     ///
-    /// Exposed so callers planning several emissions of the *same* function
+    /// Exposed so callers making several emissions of the *same* function
     /// (one per strategy entry) can canonicalise once and reuse the result
-    /// through [`plan_with_canon`](NpnDatabase::plan_with_canon).
+    /// through [`emit_with_canon`](NpnDatabase::emit_with_canon).
     pub fn canonicalize(function: &TruthTable) -> NpnCanonical {
         if function.num_vars() <= 5 {
             npn_canonical(function)
@@ -226,107 +178,10 @@ impl NpnDatabase {
         }
     }
 
-    /// Plans the emission of `function` over `leaves` without touching the
-    /// database: canonicalise, then synthesise the class representative
-    /// unless the database already holds it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves.len() != function.num_vars()`.
-    pub fn plan(
-        &self,
-        function: &TruthTable,
-        leaves: &[Signal],
-        kind: NetworkKind,
-        strategy: SynthesisStrategy,
-    ) -> NpnPlan {
-        assert_eq!(leaves.len(), function.num_vars(), "one leaf per variable");
-        // Degenerate cases never go through the cache.
-        if function.is_const0() {
-            return NpnPlan {
-                kind: PlanKind::Constant(Signal::CONST0),
-            };
-        }
-        if function.is_const1() {
-            return NpnPlan {
-                kind: PlanKind::Constant(Signal::CONST1),
-            };
-        }
-        let canon = Self::canonicalize(function);
-        self.plan_with_canon(&canon, leaves, kind, strategy)
-    }
-
-    /// Like [`plan`](NpnDatabase::plan) but over a pre-computed canonical
-    /// form, so one canonicalisation can serve several (strategy, kind)
-    /// entries. The caller must have filtered out constant functions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves.len()` differs from the canonical form's variable
-    /// count.
-    pub fn plan_with_canon(
-        &self,
-        canon: &NpnCanonical,
-        leaves: &[Signal],
-        kind: NetworkKind,
-        strategy: SynthesisStrategy,
-    ) -> NpnPlan {
-        let t = &canon.transform;
-        assert_eq!(leaves.len(), t.perm.len(), "one leaf per variable");
-        let key = (canon.representative.clone(), strategy, kind);
-        let synthesized = (!self.cache.contains_key(&key)).then(|| self.synthesize_class(&key));
-        // canonical(y) = f(x) ^ out  with  y_i = x_{perm[i]} ^ neg_i, therefore
-        // f(x) = canonical(y) ^ out when canonical input i is driven by
-        // leaves[perm[i]] ^ neg_i.
-        let bound: Vec<Signal> = (0..leaves.len())
-            .map(|i| leaves[t.perm[i]].xor_complement(t.input_neg & (1 << i) != 0))
-            .collect();
-        NpnPlan {
-            kind: PlanKind::Class(Box::new(PlanClass {
-                key,
-                synthesized,
-                bound,
-                output_neg: t.output_neg,
-            })),
-        }
-    }
-
-    /// Replays a plan into `target` and returns the candidate's output
-    /// signal. A class the database does not hold yet is stored first: the
-    /// network the plan shipped, or a fresh synthesis if it shipped none.
-    ///
-    /// Hit/miss statistics are counted here, in commit order.
-    pub fn commit(&mut self, target: &mut Network, plan: NpnPlan) -> Signal {
-        match plan.kind {
-            PlanKind::Constant(sig) => sig,
-            PlanKind::Class(class) => {
-                let PlanClass {
-                    key,
-                    synthesized,
-                    bound,
-                    output_neg,
-                } = *class;
-                if !self.cache.contains_key(&key) {
-                    let net = match synthesized {
-                        Some(net) => net,
-                        None => self.synthesize_class(&key),
-                    };
-                    self.cache.insert(key.clone(), net);
-                    self.misses += 1;
-                } else {
-                    self.hits += 1;
-                }
-                let canonical_net = self.cache.get(&key).expect("class just ensured");
-                let out = import_subnetwork(target, canonical_net, &bound);
-                out.xor_complement(output_neg)
-            }
-        }
-    }
-
     /// Emits a candidate structure computing `function` over `leaves` into
     /// `target`, synthesising the function's NPN class representative on first
-    /// use and replaying it afterwards: [`plan`](NpnDatabase::plan) followed
-    /// by [`commit`](NpnDatabase::commit).
+    /// use and replaying it afterwards. Constant functions emit no gate and
+    /// never reach the cache.
     ///
     /// Returns the candidate's output signal in `target`.
     ///
@@ -341,8 +196,63 @@ impl NpnDatabase {
         kind: NetworkKind,
         strategy: SynthesisStrategy,
     ) -> Signal {
-        let plan = self.plan(function, leaves, kind, strategy);
-        self.commit(target, plan)
+        assert_eq!(leaves.len(), function.num_vars(), "one leaf per variable");
+        if function.is_const0() {
+            return Signal::CONST0;
+        }
+        if function.is_const1() {
+            return Signal::CONST1;
+        }
+        let canon = Self::canonicalize(function);
+        self.emit_with_canon(target, &canon, leaves, kind, strategy)
+    }
+
+    /// Like [`emit`](NpnDatabase::emit) but over a pre-computed canonical
+    /// form, so one canonicalisation can serve several (strategy, kind)
+    /// entries. The caller must have filtered out constant functions.
+    ///
+    /// A class the database does not hold yet is synthesised (through the
+    /// shared store when one is attached) and counted as a miss; a held
+    /// class counts as a hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaves.len()` differs from the canonical form's variable
+    /// count.
+    pub fn emit_with_canon(
+        &mut self,
+        target: &mut Network,
+        canon: &NpnCanonical,
+        leaves: &[Signal],
+        kind: NetworkKind,
+        strategy: SynthesisStrategy,
+    ) -> Signal {
+        let t = &canon.transform;
+        assert_eq!(leaves.len(), t.perm.len(), "one leaf per variable");
+        let key = (canon.representative.clone(), strategy, kind);
+        let class = match self.cache.entry(key) {
+            Entry::Occupied(held) => {
+                self.hits += 1;
+                held.into_mut()
+            }
+            Entry::Vacant(missing) => {
+                self.misses += 1;
+                // Identical with or without the shared store: `synthesize`
+                // is pure.
+                let net = match &self.shared {
+                    Some(shared) => shared.fetch_or_synthesize(missing.key()),
+                    None => synthesize(&canon.representative, kind, strategy),
+                };
+                missing.insert(net)
+            }
+        };
+        // canonical(y) = f(x) ^ out  with  y_i = x_{perm[i]} ^ neg_i, therefore
+        // f(x) = canonical(y) ^ out when canonical input i is driven by
+        // leaves[perm[i]] ^ neg_i.
+        let bound: Vec<Signal> = (0..leaves.len())
+            .map(|i| leaves[t.perm[i]].xor_complement(t.input_neg & (1 << i) != 0))
+            .collect();
+        import_subnetwork(target, class, &bound).xor_complement(t.output_neg)
     }
 }
 
@@ -500,31 +410,5 @@ mod tests {
         assert_eq!(shared.misses(), solo.3);
         assert!(shared.hits() >= solo.3);
         assert_eq!(shared.classes(), solo.3);
-    }
-
-    #[test]
-    fn commit_resynthesises_when_a_plan_ships_no_network() {
-        // A plan made against a database that already holds its class ships
-        // no network; committing it into a database that never saw the class
-        // must fall back to a fresh synthesis and still be correct.
-        let a = TruthTable::var(2, 0);
-        let b = TruthTable::var(2, 1);
-        let f = a.and(&b);
-        let mut warm = NpnDatabase::new();
-        let mut warm_host = Network::new(NetworkKind::Mixed);
-        let warm_xs = warm_host.add_inputs(2);
-        let _ = warm.emit(&mut warm_host, &f, &warm_xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
-        let mut host = Network::new(NetworkKind::Mixed);
-        let xs = host.add_inputs(2);
-        let plan = warm.plan(&f, &xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
-        match &plan.kind {
-            PlanKind::Class(class) => assert!(class.synthesized.is_none()),
-            PlanKind::Constant(_) => panic!("a non-constant function planned as a constant"),
-        }
-        let mut fresh = NpnDatabase::new();
-        let out = fresh.commit(&mut host, plan);
-        host.add_output(out);
-        assert_eq!(output_truth_tables(&host)[0], f);
-        assert_eq!(fresh.misses(), 1);
     }
 }

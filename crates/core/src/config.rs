@@ -41,9 +41,11 @@ pub struct MchConfig {
     /// preset quality numbers are pinned.
     pub exact_area: bool,
     /// Threads used throughout the flow: the cut enumeration inside choice
-    /// construction (see [`MchParams::threads`]), snapshot graph-mapping,
-    /// and the mapper's level-parallel cut enumeration and choice transfer
-    /// (see [`mch_cut::enumerate_cuts_threaded`]). `1` runs fully serial;
+    /// construction (see [`MchParams::threads`]) and the mapper's
+    /// level-parallel cut enumeration and choice transfer (see
+    /// [`mch_cut::enumerate_cuts_threaded`]). It does not reach the snapshot
+    /// views, which come from one serial cover and one serial link sweep
+    /// (see [`mch_opt::graph_map_all`]). `1` runs fully serial;
     /// every value produces identical mapping results. A phase never runs on
     /// more than [`mch_cut::WorkerPool::global`]`().workers() + 1` threads,
     /// whatever this asks for. The presets default to
@@ -112,9 +114,8 @@ impl MchConfig {
     }
 
     /// Returns the same configuration with an explicit worker-thread count
-    /// for the cut enumeration inside choice construction, snapshot
-    /// graph-mapping and the mapper's level-parallel cut enumeration and
-    /// choice transfer.
+    /// for the cut enumeration inside choice construction and the mapper's
+    /// level-parallel cut enumeration and choice transfer.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self.mch.threads = self.threads;

@@ -7,16 +7,16 @@ use crate::prepared::{flow_fingerprint, ChoiceKey, PreparedFlow, PreparedFlowCac
 use crate::{validate_library, validate_lut_library, validate_network, FlowBudget, FlowError};
 use crate::MchConfig;
 use mch_choice::{
-    add_snapshot_choices, build_mch, build_mch_with_stats_shared, dch_from_snapshots,
+    add_snapshot_views, build_mch, build_mch_with_stats_shared, dch_from_snapshots,
     ChoiceNetwork, MchParams, SharedNpnCache,
 };
-use mch_cut::{CutCost, WorkerPool};
+use mch_cut::CutCost;
 use mch_logic::{Network, NetworkKind, cec};
 use mch_mapper::{
     map_asic, map_lut, AsicMapParams, CellNetlist, FusionMode, LutMapParams, LutNetlist,
     MappingObjective, DEFAULT_CUT_LIMIT,
 };
-use mch_opt::{compress2rs_like, compress_round, graph_map};
+use mch_opt::{compress2rs_like, compress_round, graph_map_all};
 use mch_techlib::{Library, LutLibrary};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -80,15 +80,13 @@ fn obtain_prepared(
 
 /// Builds the mixed choice network for an MCH flow: the per-node candidates of
 /// Algorithm 2, optionally augmented with whole graph-mapped views of the
-/// design (one per secondary representation).
+/// design (the input's own representation, then one per secondary
+/// representation).
 ///
-/// The snapshot views are independent reads of the input network, so they are
-/// computed concurrently (one inline on the calling thread, the rest as
-/// [`WorkerPool::run_with`] jobs on scoped helper threads) and committed in a
-/// fixed order — the result is identical for every `config.threads` value.
-/// Each graph-mapping job runs its internal enumeration serially (the
-/// [`WorkerPool::is_worker`] recursion guard), so nested phases never
-/// multiply the thread budget.
+/// The views come from one 4-LUT cover of the input ([`graph_map_all`]) and
+/// are linked in one sweep ([`add_snapshot_views`]), serially on the calling
+/// thread, so only the cut enumeration inside [`build_mch_with_stats_shared`]
+/// reads `config.threads` here, and the result is identical for every value.
 pub(crate) fn build_flow_choices(
     network: &Network,
     config: &MchConfig,
@@ -105,29 +103,7 @@ pub(crate) fn build_flow_choices(
         let kinds: Vec<NetworkKind> = std::iter::once(network.kind())
             .chain(config.mch.secondary.iter().copied())
             .collect();
-        let mut views: Vec<Option<Network>> = kinds.iter().map(|_| None).collect();
-        if config.threads > 1 && kinds.len() > 1 && !WorkerPool::is_worker() {
-            let (first, rest) = views.split_at_mut(1);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = rest
-                .iter_mut()
-                .zip(&kinds[1..])
-                .map(|(slot, &kind)| {
-                    Box::new(move || {
-                        *slot = Some(graph_map(network, kind, config.objective));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            WorkerPool::global().run_with(jobs, || {
-                first[0] = Some(graph_map(network, kinds[0], config.objective));
-            });
-        } else {
-            for (slot, &kind) in views.iter_mut().zip(&kinds) {
-                *slot = Some(graph_map(network, kind, config.objective));
-            }
-        }
-        for view in views.into_iter().flatten() {
-            add_snapshot_choices(&mut choices, &view);
-        }
+        add_snapshot_views(&mut choices, &graph_map_all(network, &kinds, config.objective));
     }
     choices
 }

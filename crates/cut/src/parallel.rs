@@ -10,8 +10,7 @@
 //!    threads ([`std::thread::scope`], no external dependencies), at most
 //!    [`WorkerPool::workers`] of them per call — the process-wide thread
 //!    budget that also bounds the other fan-outs (choice transfer in
-//!    `mch_mapper`, snapshot graph-mapping and the batched mapping service in
-//!    `mch_core`);
+//!    `mch_mapper`, the batched mapping service in `mch_core`);
 //! 3. each helper runs the same per-node kernel as the serial driver
 //!    (`enumerate_node`) over contiguous, id-ordered shards pulled from a
 //!    per-call task queue, with its own `ProtoCut`/`LeafBuf` scratch, reading
@@ -143,9 +142,8 @@ impl WorkerPool {
     /// [`run_with`](WorkerPool::run_with) job.
     ///
     /// Used as a recursion guard: parallel phases invoked *from* a job (e.g.
-    /// a graph-mapping job that internally enumerates cuts) run serially
-    /// instead of fanning out again, so nested phases never multiply the
-    /// thread budget.
+    /// a service job whose flow enumerates cuts) run serially instead of
+    /// fanning out again, so nested phases never multiply the thread budget.
     pub fn is_worker() -> bool {
         IS_POOL_WORKER.with(Cell::get)
     }

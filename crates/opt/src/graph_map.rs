@@ -12,7 +12,7 @@
 
 use mch_choice::{ChoiceNetwork, NpnDatabase, SynthesisStrategy};
 use mch_logic::{Network, NetworkKind, Signal, TruthTable};
-use mch_mapper::{map_lut, LutMapParams, MappingObjective, NetRef};
+use mch_mapper::{map_lut, LutMapParams, LutNetlist, MappingObjective, NetRef};
 use mch_techlib::LutLibrary;
 use std::collections::HashMap;
 
@@ -23,73 +23,92 @@ const GRAPH_MAP_CUT_SIZE: usize = 4;
 ///
 /// The subject graph is covered with 4-input cuts by the choice-aware LUT
 /// mapper; each selected cut is then re-synthesised in the target
-/// representation (level-oriented decomposition for the delay objective,
-/// SOP factoring otherwise).
+/// representation by both the level-oriented decomposition and SOP
+/// factoring, keeping the better of the two per function (depth first for
+/// the delay objective, gate count first otherwise).
 pub fn graph_map_with_choices(
     choice: &ChoiceNetwork,
     target: NetworkKind,
     objective: MappingObjective,
 ) -> Network {
-    let lut = LutLibrary::new(GRAPH_MAP_CUT_SIZE, 1.0, 1.0);
-    // Serial: a flow already builds its views in parallel, and the default
-    // thread count would parallelise only the view built on the calling
-    // thread (one built inside a fan-out job runs serially anyway).
-    let params = LutMapParams::new(objective).with_threads(1);
-    let cover = map_lut(choice, &lut, &params);
+    emit(&cover(choice, objective), choice.network(), target, objective)
+}
 
+/// Graph-maps a plain network into every representation of `targets`, in
+/// order: one 4-LUT cover, emitted once per target.
+///
+/// Entry `i` equals [`graph_map`]`(network, targets[i], objective)`, because
+/// the cover depends on the objective alone, never on the target.
+pub fn graph_map_all(
+    network: &Network,
+    targets: &[NetworkKind],
+    objective: MappingObjective,
+) -> Vec<Network> {
+    if targets.is_empty() {
+        return Vec::new();
+    }
+    let choice = ChoiceNetwork::from_network(network);
+    let cover = cover(&choice, objective);
+    targets
+        .iter()
+        .map(|&target| emit(&cover, choice.network(), target, objective))
+        .collect()
+}
+
+/// The 4-LUT cover whose cones a graph mapping re-synthesises.
+fn cover(choice: &ChoiceNetwork, objective: MappingObjective) -> LutNetlist {
+    let lut = LutLibrary::new(GRAPH_MAP_CUT_SIZE, 1.0, 1.0);
+    // Serial: at two threads on a 2-vCPU host, the level-parallel cut
+    // enumeration of input-sized networks (inside `build_mch`, on the suite
+    // circuits) ran at ×0.55–0.82 of its one-thread speed.
+    let params = LutMapParams::new(objective).with_threads(1);
+    map_lut(choice, &lut, &params)
+}
+
+/// Re-synthesises every LUT of `cover` in the `target` representation, over
+/// the inputs of `source`, the network the cover was computed on.
+fn emit(
+    cover: &LutNetlist,
+    source: &Network,
+    target: NetworkKind,
+    objective: MappingObjective,
+) -> Network {
     // For each covered cone pick the better of the two resynthesis strategies:
     // the level-oriented decomposition (finds XOR/MUX/MAJ tops) and the
     // area-oriented SOP factoring. The delay objective weighs depth first.
-    let mut strategy_cache: HashMap<TruthTable, SynthesisStrategy> = HashMap::new();
-    let mut choose_strategy = |f: &TruthTable| -> SynthesisStrategy {
-        if let Some(&s) = strategy_cache.get(f) {
-            return s;
+    let rank = |n: &Network| {
+        let (depth, gates) = (n.depth() as usize, n.gate_count());
+        if objective == MappingObjective::Delay {
+            (depth, gates)
+        } else {
+            (gates, depth)
         }
-        let dec = mch_choice::synthesize(f, target, SynthesisStrategy::Decompose);
-        let sop = mch_choice::synthesize(f, target, SynthesisStrategy::SopFactor);
-        let key_dec = if objective == MappingObjective::Delay {
-            (dec.depth() as usize, dec.gate_count())
-        } else {
-            (dec.gate_count(), dec.depth() as usize)
-        };
-        let key_sop = if objective == MappingObjective::Delay {
-            (sop.depth() as usize, sop.gate_count())
-        } else {
-            (sop.gate_count(), sop.depth() as usize)
-        };
-        let s = if key_dec <= key_sop {
-            SynthesisStrategy::Decompose
-        } else {
-            SynthesisStrategy::SopFactor
-        };
-        strategy_cache.insert(f.clone(), s);
-        s
     };
+    let mut strategies: HashMap<TruthTable, SynthesisStrategy> = HashMap::new();
     let mut db = NpnDatabase::new();
-    let source = choice.network();
     let mut out = Network::with_name(target, source.name().to_string());
     let pis = out.add_inputs(source.input_count());
+    let resolve = |r: &NetRef, lut_signal: &[Signal]| match r {
+        NetRef::Const(v) => Signal::CONST0.xor_complement(*v),
+        NetRef::Input(i) => pis[*i],
+        NetRef::Gate(i) => lut_signal[*i],
+    };
     let mut lut_signal: Vec<Signal> = Vec::with_capacity(cover.lut_count());
     for l in cover.luts() {
-        let leaves: Vec<Signal> = l
-            .fanins
-            .iter()
-            .map(|f| match f {
-                NetRef::Const(v) => out.constant(*v),
-                NetRef::Input(i) => pis[*i],
-                NetRef::Gate(i) => lut_signal[*i],
-            })
-            .collect();
-        let strategy = choose_strategy(&l.function);
-        let s = db.emit(&mut out, &l.function, &leaves, target, strategy);
-        lut_signal.push(s);
+        let leaves: Vec<Signal> = l.fanins.iter().map(|f| resolve(f, &lut_signal)).collect();
+        let strategy = *strategies.entry(l.function.clone()).or_insert_with(|| {
+            let dec = mch_choice::synthesize(&l.function, target, SynthesisStrategy::Decompose);
+            let sop = mch_choice::synthesize(&l.function, target, SynthesisStrategy::SopFactor);
+            if rank(&dec) <= rank(&sop) {
+                SynthesisStrategy::Decompose
+            } else {
+                SynthesisStrategy::SopFactor
+            }
+        });
+        lut_signal.push(db.emit(&mut out, &l.function, &leaves, target, strategy));
     }
     for o in cover.outputs() {
-        let s = match o {
-            NetRef::Const(v) => out.constant(*v),
-            NetRef::Input(i) => pis[*i],
-            NetRef::Gate(i) => lut_signal[*i],
-        };
+        let s = resolve(o, &lut_signal);
         out.add_output(s);
     }
     out.cleanup()

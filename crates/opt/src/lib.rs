@@ -6,7 +6,8 @@
 //!   script — the stand-ins for ABC's technology-independent flow used to
 //!   prepare the Table-I inputs;
 //! * [`graph_map`] / [`graph_map_with_choices`] — mapping-based conversion and
-//!   optimization between representations (Fig. 5);
+//!   optimization between representations (Fig. 5), and [`graph_map_all`],
+//!   which emits one cover in several representations;
 //! * [`iterate_graph_map`] / [`iterate_graph_map_mch`] — the Fig. 6
 //!   experiment: iterating graph mapping to a local optimum, with MCH helping
 //!   escape it.
@@ -42,6 +43,6 @@ mod rewrite;
 
 pub use balance::balance;
 pub use compress::{compress2rs_like, compress_round};
-pub use graph_map::{graph_map, graph_map_with_choices};
+pub use graph_map::{graph_map, graph_map_all, graph_map_with_choices};
 pub use mch_opt::{iterate_graph_map, iterate_graph_map_mch, GraphOptResult};
 pub use rewrite::{refactor, rewrite};

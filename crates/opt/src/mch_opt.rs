@@ -2,8 +2,8 @@
 //! experiment of the paper).
 
 use crate::compress::compress2rs_like;
-use crate::graph_map::{graph_map, graph_map_with_choices};
-use mch_choice::{add_snapshot_choices, build_mch, MchParams};
+use crate::graph_map::{graph_map, graph_map_all, graph_map_with_choices};
+use mch_choice::{add_snapshot_views, build_mch, MchParams};
 use mch_logic::{Network, NetworkKind};
 use mch_mapper::MappingObjective;
 
@@ -69,6 +69,10 @@ pub fn iterate_graph_map(
 /// over the current result (per `mch_params`, e.g. MIG + XMG) and graph-maps
 /// it, letting the mapper choose the better structure among the heterogeneous
 /// candidates. This is the "MCH for Graph Map" series of Fig. 6.
+///
+/// A round covers the current network once for all its graph-mapped views
+/// ([`graph_map_all`]) and links those views and the rewritten network in
+/// one sweep ([`add_snapshot_views`]).
 pub fn iterate_graph_map_mch(
     network: &Network,
     target: NetworkKind,
@@ -89,14 +93,15 @@ pub fn iterate_graph_map_mch(
         // the current network. These are the heterogeneous global structures
         // ("mixed choice networks composed of MIG and XMG") that let the
         // optimization escape the single-representation local optimum.
-        for &kind in &mch_params.secondary {
-            if kind != target {
-                let view = graph_map(&current, kind, objective);
-                add_snapshot_choices(&mut choices, &view);
-            }
-        }
-        let rewritten = compress2rs_like(&current, 1);
-        add_snapshot_choices(&mut choices, &rewritten);
+        let kinds: Vec<NetworkKind> = mch_params
+            .secondary
+            .iter()
+            .copied()
+            .filter(|&kind| kind != target)
+            .collect();
+        let mut views = graph_map_all(&current, &kinds, objective);
+        views.push(compress2rs_like(&current, 1));
+        add_snapshot_views(&mut choices, &views);
         let next = graph_map_with_choices(&choices, target, objective);
         if score(&next, objective) < score(&current, objective) {
             current = next;

@@ -109,6 +109,12 @@ fn aborting_failpoints_yield_structured_errors_and_leave_the_pool_reusable() {
     });
 }
 
+/// A fan-out job that panics on dispatch fails its flow with a structured
+/// error. Above one thread the job comes from the mapper's level-parallel
+/// cut enumeration: the widest level of `demo_adder_gt`'s mixed choice
+/// network holds 22 gates, above the 16-gate shard threshold, while the
+/// input's holds 8, so choice construction and the serial snapshot views
+/// dispatch nothing.
 #[test]
 fn pool_dispatch_fault_fails_the_flow_not_the_process() {
     with_chaos(|| {
