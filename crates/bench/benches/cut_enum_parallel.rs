@@ -75,7 +75,7 @@ fn check_determinism(net: &Network, params: &CutParams) -> bool {
     let unit = CutCostModel::unit();
     let serial = enumerate_cuts(net, params);
     THREAD_COUNTS.iter().all(|&t| {
-        serial.identical(&enumerate_cuts_threaded(net, params, &unit, t))
+        serial.identical(&enumerate_cuts_threaded(net, params, &unit, t, None))
     })
 }
 
@@ -97,7 +97,7 @@ fn main() {
         group.bench_function("serial", |b| b.iter(|| enumerate_cuts(net, &params)));
         for &t in &THREAD_COUNTS {
             group.bench_function(format!("{t}threads"), |b| {
-                b.iter(|| enumerate_cuts_threaded(net, &params, &unit, t))
+                b.iter(|| enumerate_cuts_threaded(net, &params, &unit, t, None))
             });
         }
         group.finish();

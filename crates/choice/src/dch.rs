@@ -11,9 +11,9 @@
 
 use crate::choice_network::ChoiceNetwork;
 use mch_logic::{
-    simulate_gates, simulate_nodes, GateKind, Network, NodeId, NodeValues, Prng, Signal, TruthTable,
+    simulate_gates, simulate_nodes, FastMap, GateKind, Network, NodeId, NodeValues, Prng, Signal,
+    TruthTable,
 };
-use std::collections::HashMap;
 
 /// Number of 64-bit simulation words used for signature matching.
 const SIGNATURE_WORDS: usize = 32;
@@ -123,7 +123,7 @@ fn prove_links(network: &Network, pairs: &[(NodeId, Signal)]) -> Vec<bool> {
             .expect("at most MAX_LINK_SUPPORT inputs")
     });
     let mut groups: Vec<(Support, Vec<usize>)> = Vec::new();
-    let mut group_of: HashMap<Support, usize> = HashMap::new();
+    let mut group_of: FastMap<Support, usize> = FastMap::default();
     for (k, &(repr, cand)) in pairs.iter().enumerate() {
         let (Some(a), Some(b)) = (&supports[repr.index()], &supports[cand.node().index()]) else {
             continue;
@@ -313,7 +313,7 @@ fn signature_matches(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, 
     let values = signatures(network);
 
     // Index original gate nodes by canonical signature.
-    let mut index: HashMap<Vec<u64>, (NodeId, bool)> = HashMap::new();
+    let mut index: FastMap<Vec<u64>, (NodeId, bool)> = FastMap::default();
     for id in network.gate_ids() {
         if !cn.is_original(id) {
             continue;
@@ -355,8 +355,7 @@ fn link_by_signature(cn: &mut ChoiceNetwork, candidates: &[NodeId]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mch_logic::{cec, convert, Network, NetworkKind};
-    use std::collections::HashSet;
+    use mch_logic::{cec, convert, FastSet, Network, NetworkKind};
 
     /// Reference check: the function of `node` over the primary inputs in
     /// `support` (PI node → variable index), built gate by gate as truth
@@ -364,13 +363,13 @@ mod tests {
     fn function_over_support(
         network: &Network,
         node: NodeId,
-        support: &HashMap<NodeId, usize>,
+        support: &FastMap<NodeId, usize>,
     ) -> Option<TruthTable> {
         let nvars = support.len();
-        let mut values: HashMap<NodeId, TruthTable> = HashMap::new();
+        let mut values: FastMap<NodeId, TruthTable> = FastMap::default();
         values.insert(NodeId::CONST0, TruthTable::zeros(nvars));
         let mut cone: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen: FastSet<NodeId> = FastSet::default();
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             if !seen.insert(n) {
@@ -416,7 +415,7 @@ mod tests {
     /// it exceeds `limit` inputs.
     fn pi_support(network: &Network, node: NodeId, limit: usize) -> Option<Vec<NodeId>> {
         let mut pis: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen: FastSet<NodeId> = FastSet::default();
         let mut stack = vec![node];
         while let Some(n) = stack.pop() {
             if !seen.insert(n) {
@@ -454,7 +453,7 @@ mod tests {
         if union.len() > MAX_LINK_SUPPORT {
             return false;
         }
-        let support: HashMap<NodeId, usize> =
+        let support: FastMap<NodeId, usize> =
             union.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let Some(fa) = function_over_support(network, a, &support) else {
             return false;

@@ -22,10 +22,9 @@ use crate::npn_db::{NpnDatabase, SharedNpnCache};
 use crate::strategies::{StrategyEntry, StrategyLibrary};
 use mch_cut::{enumerate_cuts_threaded, Cut, CutCostModel, CutParams, NetworkCuts};
 use mch_logic::{
-    critical_path_nodes, mffc, ConeEvaluator, GateKind, Network, NetworkKind, NodeId, NpnCanonical,
-    Signal, TruthTable,
+    critical_path_nodes, mffc, ConeEvaluator, FastSet, GateKind, Network, NetworkKind, NodeId,
+    NpnCanonical, Signal, TruthTable,
 };
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -436,13 +435,14 @@ pub fn build_mch_with_stats_shared(
     // Line 2: critical-path collection.  Line 3: cut enumeration.
     // ------------------------------------------------------------------
     let phase_start = Instant::now();
-    let critical: HashSet<NodeId> = critical_path_nodes(network, params.critical_ratio);
+    let critical: FastSet<NodeId> = critical_path_nodes(network, params.critical_ratio);
     stats.critical_nodes = critical.len();
     let cuts = enumerate_cuts_threaded(
         network,
         &CutParams::new(params.cut_size, params.cut_limit),
         &CutCostModel::unit(),
         params.threads,
+        None,
     );
     stats.cut_enum_time = phase_start.elapsed();
 
@@ -640,7 +640,7 @@ mod tests {
 
     #[test]
     fn cone_scratch_matches_map_based_reference() {
-        // Kernel-based cone evaluation vs the original HashMap-based evaluation,
+        // Kernel-based cone evaluation vs the original map-based evaluation,
         // over every MFFC the construction would look at.
         fn cone_function_reference(
             network: &Network,
@@ -652,8 +652,8 @@ mod tests {
                 return None;
             }
             let n = leaves.len();
-            let mut values: std::collections::HashMap<NodeId, TruthTable> =
-                std::collections::HashMap::new();
+            let mut values: mch_logic::FastMap<NodeId, TruthTable> =
+                mch_logic::FastMap::default();
             for (i, &l) in leaves.iter().enumerate() {
                 values.insert(l, TruthTable::var(n, i));
             }

@@ -33,10 +33,10 @@
 
 use crate::strategies::{import_subnetwork, synthesize, SynthesisStrategy};
 use mch_logic::{
-    npn_canonical, npn_semi_canonical, Network, NetworkKind, NpnCanonical, Signal, TruthTable,
+    npn_canonical, npn_semi_canonical, FastMap, Network, NetworkKind, NpnCanonical, Signal,
+    TruthTable,
 };
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -56,7 +56,7 @@ type ClassKey = (TruthTable, SynthesisStrategy, NetworkKind);
 /// the per-job [`NpnDatabase`] counters, which never observe this store.
 #[derive(Default)]
 pub struct SharedNpnCache {
-    store: RwLock<HashMap<ClassKey, Network>>,
+    store: RwLock<FastMap<ClassKey, Network>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -121,7 +121,7 @@ impl fmt::Debug for SharedNpnCache {
 /// Cache of synthesised canonical structures keyed by NPN class.
 #[derive(Clone, Debug, Default)]
 pub struct NpnDatabase {
-    cache: HashMap<ClassKey, Network>,
+    cache: FastMap<ClassKey, Network>,
     hits: usize,
     misses: usize,
     shared: Option<Arc<SharedNpnCache>>,

@@ -530,6 +530,13 @@ pub(crate) fn fanout_estimates(network: &Network) -> Vec<f32> {
     fanout_est
 }
 
+/// Whether `id` is in the `live` node set of an enumeration (`None`: every
+/// node is).
+#[inline]
+pub(crate) fn is_live(live: Option<&[bool]>, id: NodeId) -> bool {
+    live.is_none_or(|live| live[id.index()])
+}
+
 /// Seeds the cut arena and spans with the constant node's cut and the trivial
 /// cuts of the primary inputs — the state both the serial and the parallel
 /// drivers start from before any gate is processed.
@@ -756,17 +763,26 @@ pub(crate) fn enumerate_node(
 /// This is the single-threaded driver; see [`crate::enumerate_cuts_threaded`]
 /// for the level-parallel one (which produces identical results).
 pub fn enumerate_cuts(network: &Network, params: &CutParams) -> NetworkCuts {
-    enumerate_cuts_with_model(network, params, &CutCostModel::unit())
+    enumerate_cuts_with_model(network, params, &CutCostModel::unit(), None)
 }
 
 /// [`enumerate_cuts`] with an explicit technology cost model for the
-/// arrival/area-flow estimates (see [`CutCostModel`]). The ASIC mapper feeds
-/// a library-derived model through this entry point so the depth ranking
-/// accounts for wide cells being slower than narrow ones.
+/// arrival/area-flow estimates (see [`CutCostModel`]), over the gates `live`
+/// marks. The ASIC mapper feeds a library-derived model through this entry
+/// point so the depth ranking accounts for wide cells being slower than
+/// narrow ones.
+///
+/// `live`, when given, is indexed by node id and must be closed under
+/// fan-in. Every gate it leaves unmarked keeps an empty cut list and zero
+/// cost estimates; the marked gates' lists are bit for bit those of a
+/// whole-network enumeration, because a gate's cuts read only its fan-in
+/// and the fanout estimates still count every gate's fanins. `None`
+/// enumerates every gate.
 pub fn enumerate_cuts_with_model(
     network: &Network,
     params: &CutParams,
     model: &CutCostModel,
+    live: Option<&[bool]>,
 ) -> NetworkCuts {
     let fanout_est = fanout_estimates(network);
     let (mut arena, mut spans) = seed_arena(network);
@@ -774,7 +790,11 @@ pub fn enumerate_cuts_with_model(
     // One scratch reused across every gate (the parallel driver holds one per
     // worker instead).
     let mut scratch = NodeScratch::new();
-    for id in network.gate_ids() {
+    for id in network.gate_ids().filter(|&id| is_live(live, id)) {
+        debug_assert!(
+            network.node(id).fanins().iter().all(|f| is_live(live, f.node())),
+            "the live set must be closed under fan-in"
+        );
         let best = enumerate_node(
             network,
             id,

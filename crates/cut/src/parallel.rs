@@ -36,13 +36,13 @@
 //!
 //! # When to use `threads = 1`
 //!
-//! `threads = 1` (or a network whose widest level is below the sharding
-//! threshold) selects the serial driver unchanged — no helper threads, no
-//! locks, no extra allocation. Prefer it for small networks, for
-//! latency-sensitive single-circuit calls where the per-call coordination
-//! cost (a few thread spawns plus one task-queue round-trip per level) is
-//! comparable to the enumeration itself, and when an outer loop already
-//! parallelizes across circuits.
+//! `threads = 1` (or a network whose widest level of enumerated gates is
+//! below the sharding threshold) selects the serial driver unchanged — no
+//! helper threads, no locks, no extra allocation. Prefer it for small
+//! networks, for latency-sensitive single-circuit calls where the per-call
+//! coordination cost (a few thread spawns plus one task-queue round-trip per
+//! level) is comparable to the enumeration itself, and when an outer loop
+//! already parallelizes across circuits.
 
 use crate::enumeration::{
     enumerate_node, fanout_estimates, seed_arena, EnumView, NodeScratch,
@@ -474,25 +474,29 @@ struct ShardCuts {
 }
 
 /// [`enumerate_cuts_with_model`] sharded over `threads` threads, one
-/// topological level at a time.
+/// topological level at a time, over the same `live` gates.
 ///
 /// The result is byte-identical to the serial driver's — same cuts, same
 /// ranking, same costs, same arena layout (see the module docs on
-/// determinism). `threads = 1` (and any network whose widest level is too
-/// narrow to shard) *is* the serial driver; `threads = 0` is treated as 1.
-/// Use [`default_threads`] to follow the host's core count.
+/// determinism). `threads = 1` (and any network whose widest level of live
+/// gates is too narrow to shard) *is* the serial driver; `threads = 0` is
+/// treated as 1. Use [`default_threads`] to follow the host's core count.
 pub fn enumerate_cuts_threaded(
     network: &Network,
     params: &CutParams,
     model: &CutCostModel,
     threads: usize,
+    live: Option<&[bool]>,
 ) -> NetworkCuts {
     if threads <= 1 || WorkerPool::is_worker() {
-        return enumerate_cuts_with_model(network, params, model);
+        return enumerate_cuts_with_model(network, params, model, live);
     }
-    let levels = levelize(network);
+    let mut levels = levelize(network);
+    if let Some(live) = live {
+        levels.retain(|id| live[id.index()]);
+    }
     if levels.max_width() < MIN_PARALLEL_LEVEL {
-        return enumerate_cuts_with_model(network, params, model);
+        return enumerate_cuts_with_model(network, params, model, live);
     }
     let fanout_est = fanout_estimates(network);
     let (arena, spans) = seed_arena(network);
@@ -573,6 +577,11 @@ fn canonicalize(
         .chain(network.gate_ids());
     for id in ids {
         let (start, len) = level_spans[id.index()];
+        if len == 0 {
+            // A gate outside the live set keeps the serial driver's empty
+            // span; every enumerated node holds at least its trivial cut.
+            continue;
+        }
         spans[id.index()] = (arena.len() as u32, len);
         arena.extend_from_slice(&level_arena[start as usize..(start + len) as usize]);
     }
@@ -626,10 +635,10 @@ mod tests {
         for kind in [NetworkKind::Aig, NetworkKind::Xag, NetworkKind::Mig] {
             let net = wide_network(0xD5, kind);
             let params = CutParams::new(6, 8);
-            let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit());
+            let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit(), None);
             for threads in [2, 3, 4, 8] {
                 let parallel =
-                    enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads);
+                    enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads, None);
                 assert!(
                     serial.identical(&parallel),
                     "{kind:?} with {threads} threads diverged from serial"
@@ -642,9 +651,9 @@ mod tests {
     fn one_thread_is_the_serial_path() {
         let net = wide_network(0x11, NetworkKind::Aig);
         let params = CutParams::default();
-        let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit());
+        let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit(), None);
         for threads in [0, 1] {
-            let same = enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads);
+            let same = enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads, None);
             assert!(serial.identical(&same));
         }
     }
@@ -660,8 +669,8 @@ mod tests {
         }
         net.add_output(acc);
         let params = CutParams::default();
-        let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit());
-        let parallel = enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), 8);
+        let serial = enumerate_cuts_with_model(&net, &params, &CutCostModel::unit(), None);
+        let parallel = enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), 8, None);
         assert!(serial.identical(&parallel));
     }
 
@@ -891,7 +900,7 @@ mod tests {
 
     #[test]
     fn fan_out_stays_within_the_global_budget() {
-        use std::collections::HashSet;
+        use mch_logic::FastSet;
         use std::sync::atomic::{AtomicUsize, Ordering};
         let budget = WorkerPool::global().workers() + 1;
         let current = || std::thread::current().id();
@@ -900,7 +909,7 @@ mod tests {
         // once, on the coordinator plus at most `workers()` helpers.
         let levels: Vec<Vec<usize>> = vec![(0..2048).collect(), (2048..4096).collect()];
         let seen: Vec<AtomicUsize> = (0..4096).map(|_| AtomicUsize::new(0)).collect();
-        let threads = Mutex::new(HashSet::new());
+        let threads = Mutex::new(FastSet::default());
         level_parallel(
             &levels,
             64,
@@ -924,7 +933,7 @@ mod tests {
         // `run_with` with 64 jobs: each exactly once, within the same bound
         // (the caller, which runs `main`, included).
         let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let threads = Mutex::new(HashSet::new());
+        let threads = Mutex::new(FastSet::default());
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = ran
             .iter()
             .map(|count| {

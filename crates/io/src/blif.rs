@@ -5,6 +5,10 @@
 //! `#` comments) and is hardened against untrusted input: every malformed
 //! shape returns [`ParseBlifError`], never a panic.
 
+// Text keys from outside: signal names come from untrusted files, so the
+// name table keeps std's keyed SipHash.
+#![allow(clippy::disallowed_types)]
+
 use mch_logic::{GateKind, Network, NetworkKind, NodeId, Signal};
 use mch_mapper::{LutNetlist, NetRef};
 use std::collections::HashMap;

@@ -4,6 +4,10 @@
 //! emits and is hardened against untrusted input: every malformed shape
 //! returns [`ParseVerilogError`], never a panic.
 
+// Text keys from outside: net names come from untrusted files, so the
+// name table keeps std's keyed SipHash.
+#![allow(clippy::disallowed_types)]
+
 use mch_mapper::{CellNetlist, NetRef};
 use mch_techlib::Library;
 use std::collections::HashMap;

@@ -20,6 +20,9 @@
 //! * [`arm_exact`] — surgical: fire exactly at the listed hit indices of one
 //!   named site, leaving every other site untouched.
 
+// Text keys from outside: site names arrive as strings from test schedules.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 

@@ -10,7 +10,9 @@
 //! * one word-parallel simulation kernel ([`simulate_gates`], over a flat
 //!   node × words arena) under whole-network simulation, equivalence
 //!   checking ([`cec`]) and cone functions ([`ConeEvaluator`]);
-//! * one-to-one conversion between representations ([`convert`]).
+//! * one-to-one conversion between representations ([`convert`]);
+//! * [`FastMap`] / [`FastSet`], the fixed fast hasher every map keyed by
+//!   the program's own data uses.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@ pub mod failpoint;
 mod convert;
 mod fingerprint;
 mod gate;
+mod hash;
 mod network;
 mod npn;
 mod rng;
@@ -54,6 +57,7 @@ mod truth;
 pub use convert::{convert, convert_to_all};
 pub use fingerprint::{fingerprint_signal, Fingerprinter};
 pub use gate::{GateKind, NetworkKind, Node};
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use network::Network;
 pub use npn::{npn_apply_inverse, npn_canonical, npn_semi_canonical, NpnCanonical, NpnTransform};
 pub use rng::Prng;

@@ -6,8 +6,7 @@
 //! removes duplicated gates at construction time and simple Boolean rules
 //! (constant propagation, idempotence, complementation) are applied eagerly.
 
-use crate::{GateKind, NetworkKind, Node, NodeId, Signal};
-use std::collections::HashMap;
+use crate::{FastMap, GateKind, NetworkKind, Node, NodeId, Signal};
 
 /// The canonical structural-hash key: a gate kind plus its normalized fanins
 /// (unused fanin slots padded with constant-false).
@@ -35,7 +34,7 @@ pub struct Network {
     nodes: Vec<Node>,
     inputs: Vec<NodeId>,
     outputs: Vec<Signal>,
-    strash: HashMap<StrashKey, NodeId>,
+    strash: FastMap<StrashKey, NodeId>,
 }
 
 /// Structural equality over name, kind, nodes, inputs and outputs. The
@@ -64,7 +63,7 @@ impl Network {
             nodes,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: FastMap::default(),
         }
     }
 

@@ -366,7 +366,7 @@ mod tests {
         // (constants, single variable, AND-like, XOR-like), 14 of
         // 3-variable functions and 222 of 4-variable functions.
         for (n, classes) in [(2usize, 4usize), (3, 14), (4, 222)] {
-            let reps: std::collections::HashSet<TruthTable> = (0..1u64 << (1 << n))
+            let reps: crate::FastSet<TruthTable> = (0..1u64 << (1 << n))
                 .map(|bits| npn_canonical(&TruthTable::from_u64(n, bits)).representative)
                 .collect();
             assert_eq!(reps.len(), classes, "{n} variables");

@@ -1,8 +1,7 @@
 //! Graph traversal utilities: fanouts, transitive fan-in/out cones, MFFCs,
 //! critical-path extraction and topological levelization.
 
-use crate::{Network, NodeId};
-use std::collections::HashSet;
+use crate::{FastSet, Network, NodeId};
 
 /// The gate nodes of a network grouped by topological level.
 ///
@@ -61,6 +60,15 @@ impl Levels {
     pub fn max_width(&self) -> usize {
         self.levels.iter().map(Vec::len).max().unwrap_or(0)
     }
+
+    /// Keeps only the gates `keep` accepts. Every level stays id-sorted, and
+    /// a level left empty stays in place, so level indices do not move.
+    pub fn retain(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
+        for level in &mut self.levels {
+            level.retain(|&id| keep(id));
+        }
+        self.gates = self.levels.iter().map(Vec::len).sum();
+    }
 }
 
 /// Groups the gate nodes of `network` by topological level (see [`Levels`]).
@@ -112,8 +120,8 @@ impl Fanouts {
 
 /// Collects the transitive fan-in cone of `roots` (the roots themselves are
 /// included; constants and primary inputs are included when reached).
-pub fn transitive_fanin(network: &Network, roots: &[NodeId]) -> HashSet<NodeId> {
-    let mut seen = HashSet::new();
+pub fn transitive_fanin(network: &Network, roots: &[NodeId]) -> FastSet<NodeId> {
+    let mut seen = FastSet::default();
     let mut stack: Vec<NodeId> = roots.to_vec();
     while let Some(n) = stack.pop() {
         if !seen.insert(n) {
@@ -127,8 +135,8 @@ pub fn transitive_fanin(network: &Network, roots: &[NodeId]) -> HashSet<NodeId> 
 }
 
 /// Collects the transitive fan-out cone of `roots` using precomputed fanouts.
-pub fn transitive_fanout(fanouts: &Fanouts, roots: &[NodeId]) -> HashSet<NodeId> {
-    let mut seen = HashSet::new();
+pub fn transitive_fanout(fanouts: &Fanouts, roots: &[NodeId]) -> FastSet<NodeId> {
+    let mut seen = FastSet::default();
     let mut stack: Vec<NodeId> = roots.to_vec();
     while let Some(n) = stack.pop() {
         if !seen.insert(n) {
@@ -170,7 +178,7 @@ impl Mffc {
 /// Uses the classical reference-count simulation: a fanin joins the cone when
 /// all of its fanouts are already inside the cone.
 pub fn mffc(network: &Network, root: NodeId, max_inputs: usize) -> Mffc {
-    let mut inside: HashSet<NodeId> = HashSet::new();
+    let mut inside: FastSet<NodeId> = FastSet::default();
     let mut leaves: Vec<NodeId> = Vec::new();
     if !network.is_gate(root) {
         return Mffc {
@@ -209,7 +217,7 @@ pub fn mffc(network: &Network, root: NodeId, max_inputs: usize) -> Mffc {
     Mffc { root, nodes, leaves }
 }
 
-fn count_fanouts_inside(network: &Network, node: NodeId, inside: &HashSet<NodeId>) -> usize {
+fn count_fanouts_inside(network: &Network, node: NodeId, inside: &FastSet<NodeId>) -> usize {
     // A node's fanouts are not stored; approximate by checking which inside
     // nodes read it. Cone sizes are small so the scan is cheap.
     inside
@@ -232,10 +240,10 @@ fn count_fanouts_inside(network: &Network, node: NodeId, inside: &HashSet<NodeId
 /// from a critical output back to the primary inputs whose level profile keeps
 /// it on a longest path (i.e. nodes whose level equals the maximum level among
 /// the fanins of a critical successor).
-pub fn critical_path_nodes(network: &Network, ratio: f64) -> HashSet<NodeId> {
+pub fn critical_path_nodes(network: &Network, ratio: f64) -> FastSet<NodeId> {
     let depth = network.depth();
     let threshold = (depth as f64 * ratio).ceil() as u32;
-    let mut critical: HashSet<NodeId> = HashSet::new();
+    let mut critical: FastSet<NodeId> = FastSet::default();
     let mut stack: Vec<NodeId> = Vec::new();
     for out in network.outputs() {
         let n = out.node();

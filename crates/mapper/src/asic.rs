@@ -9,13 +9,12 @@
 
 use crate::engine::{Cover, CoverTarget, EngineParams};
 use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
-use crate::netlist::{CellNetlist, NetRef};
+use crate::netlist::{source_refs, CellNetlist, NetRef};
 use crate::prepared::{map_asic_prepared, prepare_asic_cover};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, CutCostModel, NetworkCuts, MAX_CUT_SIZE};
-use mch_logic::{GateKind, Network, NodeId, Signal, TruthTable};
+use mch_logic::{FastMap, GateKind, Network, NodeId, Signal, TruthTable};
 use mch_techlib::{CellId, Library};
-use std::collections::HashMap;
 
 /// Derives the cut-ranking cost model from a cell library: the delay/area of
 /// a `k`-leaf cut is estimated as the fastest/cheapest cell with exactly `k`
@@ -331,29 +330,9 @@ impl CoverTarget for AsicTarget<'_> {
 
     fn emit(&self, net: &Network, cover: &Cover<'_, MatchCandidate>) -> CellNetlist {
         let mut netlist = CellNetlist::new(net.name().to_string(), net.input_count());
-        let input_pos: HashMap<NodeId, usize> = net
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        let mut node_ref: HashMap<NodeId, NetRef> = HashMap::new();
-        let mut inverted: HashMap<NodeId, NetRef> = HashMap::new();
+        let mut node_ref = source_refs(net);
+        let mut inverted: FastMap<NodeId, NetRef> = FastMap::default();
         let inverter = self.library.inverter();
-
-        fn base_ref(
-            node: NodeId,
-            input_pos: &HashMap<NodeId, usize>,
-            node_ref: &HashMap<NodeId, NetRef>,
-        ) -> NetRef {
-            if node.is_const() {
-                NetRef::Const(false)
-            } else if let Some(&i) = input_pos.get(&node) {
-                NetRef::Input(i)
-            } else {
-                *node_ref.get(&node).expect("leaf mapped before use")
-            }
-        }
 
         for &id in cover.original_gates {
             if !cover.needed[id.index()] {
@@ -362,7 +341,7 @@ impl CoverTarget for AsicTarget<'_> {
             let c = cover.selected(id);
             let mut pin_fanins = vec![NetRef::Const(false); c.leaves.len()];
             for (i, l) in c.leaves.iter().enumerate() {
-                let mut r = base_ref(*l, &input_pos, &node_ref);
+                let mut r = node_ref[l.index()].expect("leaf mapped before use");
                 if c.input_neg & (1 << i) != 0 {
                     r = match r {
                         NetRef::Const(v) => NetRef::Const(!v),
@@ -377,18 +356,12 @@ impl CoverTarget for AsicTarget<'_> {
             if c.output_neg {
                 out = netlist.push_gate(inverter, vec![out]);
             }
-            node_ref.insert(id, out);
+            node_ref[id.index()] = Some(out);
         }
 
         for o in net.outputs() {
             let node = o.node();
-            let mut r = if node.is_const() {
-                NetRef::Const(false)
-            } else if let Some(&i) = input_pos.get(&node) {
-                NetRef::Input(i)
-            } else {
-                *node_ref.get(&node).expect("output driver mapped")
-            };
+            let mut r = node_ref[node.index()].expect("output driver mapped");
             if o.is_complement() {
                 r = match r {
                     NetRef::Const(v) => NetRef::Const(!v),

@@ -57,7 +57,7 @@ pub use fusion::{
     map_lut_fused, map_lut_fused_network, map_lut_fused_prepared, prepare_fusion_guide, FusionMode,
 };
 pub use lut::{map_lut, map_lut_network, LutCandidate, LutMapParams, LutTarget};
-pub use mapping::{prepare_cuts, MappingObjective, DEFAULT_CUT_LIMIT};
+pub use mapping::{live_nodes, prepare_cuts, MappingObjective, DEFAULT_CUT_LIMIT};
 pub use prepared::{
     map_asic_prepared, map_lut_prepared, prepare_asic_cover, prepare_lut_cover, PreparedCover,
 };

@@ -9,13 +9,12 @@
 use crate::engine::{Cover, CoverTarget, EngineParams};
 use crate::fusion::FusionMode;
 use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
-use crate::netlist::{LutNetlist, NetRef};
+use crate::netlist::{source_refs, LutNetlist, NetRef};
 use crate::prepared::{map_lut_prepared, prepare_lut_cover};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, NetworkCuts};
-use mch_logic::{Network, NodeId, TruthTable};
+use mch_logic::{FastMap, Network, NodeId, TruthTable};
 use mch_techlib::LutLibrary;
-use std::collections::HashMap;
 
 /// Parameters of K-LUT mapping.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -237,45 +236,39 @@ impl CoverTarget for LutTarget<'_> {
 
     fn emit(&self, net: &Network, cover: &Cover<'_, LutCandidate>) -> LutNetlist {
         let mut netlist = LutNetlist::new(net.name().to_string(), net.input_count());
-        let input_pos: HashMap<NodeId, usize> = net
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
 
         // Primary-output polarity is free in a LUT netlist as long as the
         // driver's positive value has no other consumer: in that case the
         // driver LUT's function is complemented in place. Otherwise a 1-input
         // inverter LUT is inserted (rare).
-        let mut positive_uses: HashMap<NodeId, usize> = HashMap::new();
+        let mut used_positive = vec![false; net.len()];
         for &id in cover.original_gates {
             if !cover.needed[id.index()] {
                 continue;
             }
             for l in &cover.selected(id).leaves {
-                *positive_uses.entry(*l).or_insert(0) += 1;
+                used_positive[l.index()] = true;
             }
         }
         for o in net.outputs() {
             if !o.is_complement() {
-                *positive_uses.entry(o.node()).or_insert(0) += 1;
+                used_positive[o.node().index()] = true;
             }
         }
-        let mut emit_complemented: HashMap<NodeId, bool> = HashMap::new();
+        let mut emit_complemented = vec![false; net.len()];
         for o in net.outputs() {
             let node = o.node();
             if o.is_complement()
                 && net.is_gate(node)
                 && cover.needed[node.index()]
-                && positive_uses.get(&node).copied().unwrap_or(0) == 0
+                && !used_positive[node.index()]
             {
-                emit_complemented.insert(node, true);
+                emit_complemented[node.index()] = true;
             }
         }
 
-        let mut node_ref: HashMap<NodeId, NetRef> = HashMap::new();
-        let mut inverted: HashMap<NodeId, NetRef> = HashMap::new();
+        let mut node_ref = source_refs(net);
+        let mut inverted: FastMap<NodeId, NetRef> = FastMap::default();
 
         for &id in cover.original_gates {
             if !cover.needed[id.index()] {
@@ -285,36 +278,20 @@ impl CoverTarget for LutTarget<'_> {
             let fanins: Vec<NetRef> = c
                 .leaves
                 .iter()
-                .map(|l| {
-                    if l.is_const() {
-                        NetRef::Const(false)
-                    } else if let Some(&i) = input_pos.get(l) {
-                        NetRef::Input(i)
-                    } else {
-                        *node_ref.get(l).expect("leaf mapped before use")
-                    }
-                })
+                .map(|l| node_ref[l.index()].expect("leaf mapped before use"))
                 .collect();
-            let function = if emit_complemented.get(&id).copied().unwrap_or(false) {
+            let function = if emit_complemented[id.index()] {
                 c.function.not()
             } else {
                 c.function.clone()
             };
-            let out = netlist.push_lut(function, fanins);
-            node_ref.insert(id, out);
+            node_ref[id.index()] = Some(netlist.push_lut(function, fanins));
         }
 
         for o in net.outputs() {
             let node = o.node();
-            let complemented_in_place = emit_complemented.get(&node).copied().unwrap_or(false);
-            let mut r = if node.is_const() {
-                NetRef::Const(false)
-            } else if let Some(&i) = input_pos.get(&node) {
-                NetRef::Input(i)
-            } else {
-                *node_ref.get(&node).expect("output driver mapped")
-            };
-            if o.is_complement() != complemented_in_place {
+            let mut r = node_ref[node.index()].expect("output driver mapped");
+            if o.is_complement() != emit_complemented[node.index()] {
                 r = match r {
                     NetRef::Const(v) => NetRef::Const(!v),
                     other => *inverted.entry(node).or_insert_with(|| {

@@ -64,6 +64,31 @@ pub(crate) fn leaf_representatives(choice: &ChoiceNetwork) -> Vec<Option<(NodeId
     table
 }
 
+/// The mixed-network nodes whose cuts can reach a cover: the original nodes,
+/// every choice node and their transitive fan-in. Fanins precede their gates
+/// in id order, so one reverse sweep over the added nodes marks the fan-in.
+/// Every other node is a snapshot-view node that no representative reaches,
+/// and [`prepare_cuts`] gives it an empty cut list. Indexed by node id.
+pub fn live_nodes(choice: &ChoiceNetwork) -> Vec<bool> {
+    let net = choice.network();
+    let originals = choice.original_len();
+    let mut live = vec![false; net.len()];
+    live[..originals].fill(true);
+    for repr in choice.representatives() {
+        for &(node, _) in choice.choices_of(repr) {
+            live[node.index()] = true;
+        }
+    }
+    for i in (originals..net.len()).rev() {
+        if live[i] {
+            for f in net.node(NodeId::from_index(i)).fanins() {
+                live[f.node().index()] = true;
+            }
+        }
+    }
+    live
+}
+
 /// Remaps a cut inherited from a choice node onto representative-level leaves.
 ///
 /// Every leaf is replaced by its representative (flipping the corresponding
@@ -159,6 +184,11 @@ pub(crate) fn remap_choice_cut(
 /// Enumerates cuts over the mixed network and transfers every choice node's
 /// cuts to its representative (Algorithm 3, lines 1–8).
 ///
+/// Only the [`live_nodes`] are enumerated: a node outside the originals, the
+/// choice nodes and their fan-in can neither be mapped nor lend a cut to a
+/// representative, so it keeps an empty list. Every other list is bit for
+/// bit the one a whole-network enumeration gives.
+///
 /// Cuts are ranked by `cost` — both inside enumeration (which cuts survive
 /// the per-node `cut_limit`) and when the inherited choice cuts are merged
 /// into a representative's set. Inherited cuts get fresh [`mch_cut::CutCosts`]
@@ -185,7 +215,8 @@ pub fn prepare_cuts(
 ) -> NetworkCuts {
     let params = CutParams::new(cut_size, cut_limit).with_cost(cost);
     let net = choice.network();
-    let cuts = enumerate_cuts_threaded(net, &params, model, threads);
+    let live = live_nodes(choice);
+    let cuts = enumerate_cuts_threaded(net, &params, model, threads, Some(&live));
 
     // Representatives that actually have choices, grouped by their level in
     // the mixed network: a representative's inherited-cut costs read the
@@ -450,7 +481,7 @@ mod tests {
         for params in [MchParams::area_oriented(), MchParams::delay_oriented()] {
             let net = sample();
             let mch = build_mch(&net, &params);
-            let cuts = enumerate_cuts_with_model(mch.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+            let cuts = enumerate_cuts_with_model(mch.network(), &CutParams::new(4, 8), &CutCostModel::unit(), None);
             let leaf_reprs = leaf_representatives(&mch);
             let mut checked = 0usize;
             for repr in mch.representatives() {
@@ -499,7 +530,7 @@ mod tests {
         };
         assert!(choice.add_choice(g1.node(), d1));
         assert!(choice.add_choice(h.node(), e));
-        let cuts = enumerate_cuts_with_model(choice.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+        let cuts = enumerate_cuts_with_model(choice.network(), &CutParams::new(4, 8), &CutCostModel::unit(), None);
         let leaf_reprs = leaf_representatives(&choice);
         let mut duplicate_seen = false;
         for repr in choice.representatives() {

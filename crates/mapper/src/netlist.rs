@@ -114,6 +114,18 @@ pub enum NetRef {
     Gate(usize),
 }
 
+/// What each node of `net` drives in a netlist under construction, indexed by
+/// node id: the constant node and the primary inputs from the start, gates
+/// once an emitter has placed them.
+pub(crate) fn source_refs(net: &Network) -> Vec<Option<NetRef>> {
+    let mut refs = vec![None; net.len()];
+    refs[0] = Some(NetRef::Const(false));
+    for (i, &n) in net.inputs().iter().enumerate() {
+        refs[n.index()] = Some(NetRef::Input(i));
+    }
+    refs
+}
+
 /// One instantiated standard cell.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MappedCell {

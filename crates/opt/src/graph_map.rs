@@ -11,10 +11,9 @@
 //! algorithm.
 
 use mch_choice::{ChoiceNetwork, NpnDatabase, SynthesisStrategy};
-use mch_logic::{Network, NetworkKind, Signal, TruthTable};
+use mch_logic::{FastMap, Network, NetworkKind, Signal, TruthTable};
 use mch_mapper::{map_lut, LutMapParams, LutNetlist, MappingObjective, NetRef};
 use mch_techlib::LutLibrary;
-use std::collections::HashMap;
 
 /// Cut size used when harvesting cones for graph mapping.
 const GRAPH_MAP_CUT_SIZE: usize = 4;
@@ -84,7 +83,7 @@ fn emit(
             (gates, depth)
         }
     };
-    let mut strategies: HashMap<TruthTable, SynthesisStrategy> = HashMap::new();
+    let mut strategies: FastMap<TruthTable, SynthesisStrategy> = FastMap::default();
     let mut db = NpnDatabase::new();
     let mut out = Network::with_name(target, source.name().to_string());
     let pis = out.add_inputs(source.input_count());

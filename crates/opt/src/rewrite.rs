@@ -3,8 +3,7 @@
 
 use mch_choice::{NpnDatabase, SynthesisStrategy};
 use mch_cut::{enumerate_cuts, CutParams};
-use mch_logic::{mffc, ConeEvaluator, GateKind, Network, NodeId, Signal};
-use std::collections::HashSet;
+use mch_logic::{mffc, ConeEvaluator, FastSet, GateKind, Network, NodeId, Signal};
 
 fn copy_gate(out: &mut Network, kind: GateKind, fanins: &[Signal]) -> Signal {
     match kind {
@@ -19,8 +18,8 @@ fn copy_gate(out: &mut Network, kind: GateKind, fanins: &[Signal]) -> Signal {
 /// inside the cone (a cheap proxy for the logic that would disappear if the
 /// cone were replaced).
 fn exclusive_cone_size(network: &Network, root: NodeId, leaves: &[NodeId]) -> usize {
-    let leaf_set: HashSet<NodeId> = leaves.iter().copied().collect();
-    let mut cone: HashSet<NodeId> = HashSet::new();
+    let leaf_set: FastSet<NodeId> = leaves.iter().copied().collect();
+    let mut cone: FastSet<NodeId> = FastSet::default();
     let mut stack = vec![root];
     while let Some(n) = stack.pop() {
         if leaf_set.contains(&n) || !network.is_gate(n) || !cone.insert(n) {

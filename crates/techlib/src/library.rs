@@ -1,8 +1,7 @@
 //! The cell library and its Boolean-matching index.
 
 use crate::{parse_expression, Cell, CellId};
-use mch_logic::TruthTable;
-use std::collections::HashMap;
+use mch_logic::{FastMap, TruthTable};
 use std::sync::Arc;
 
 /// One way of implementing a cut function with a library cell.
@@ -63,7 +62,7 @@ impl CellMatch {
 pub struct Library {
     name: String,
     cells: Vec<Cell>,
-    index: Arc<HashMap<TruthTable, MatchBucket>>,
+    index: Arc<FastMap<TruthTable, MatchBucket>>,
     inverter: Option<CellId>,
     max_inputs: usize,
 }

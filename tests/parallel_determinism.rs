@@ -48,7 +48,8 @@ fn parallel_enumeration_is_byte_identical_to_serial_on_wide_circuits() {
     for (i, net) in wide.iter().enumerate() {
         let serial = enumerate_cuts(net, &params);
         for threads in THREAD_COUNTS {
-            let parallel = enumerate_cuts_threaded(net, &params, &CutCostModel::unit(), threads);
+            let parallel =
+                enumerate_cuts_threaded(net, &params, &CutCostModel::unit(), threads, None);
             assert!(
                 serial.identical(&parallel),
                 "wide case {i}, {threads} threads: parallel diverged"
@@ -68,7 +69,7 @@ fn parallel_enumeration_is_byte_identical_to_serial() {
             let serial = enumerate_cuts(&net, &params);
             for threads in THREAD_COUNTS {
                 let parallel =
-                    enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads);
+                    enumerate_cuts_threaded(&net, &params, &CutCostModel::unit(), threads, None);
                 assert!(
                     serial.identical(&parallel),
                     "case {i}, {threads} threads, {params:?}: parallel diverged"
