@@ -32,7 +32,6 @@ use mch_mapper::{
     LutMapParams, LutTarget, MappingObjective,
 };
 use mch_techlib::{asap7_lite, LutLibrary};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -91,14 +90,12 @@ fn main() {
         let choice = ChoiceNetwork::from_network(net);
         let lut_params = LutMapParams::new(MappingObjective::Balanced).with_threads(1);
         let lut_prep = prepare_lut_cover(&choice, &lut, &lut_params);
-        let lut_target = LutTarget::new(&lut, lut_prep.cuts());
-        let lut_problem =
-            CoverProblem::with_skeleton(&choice, &lut_target, Cow::Borrowed(lut_prep.skeleton()));
+        let lut_target = LutTarget::new(&lut);
+        let lut_problem = CoverProblem::new(&choice, &lut_target, lut_prep.skeleton());
         let asic_params = AsicMapParams::new(MappingObjective::Balanced).with_threads(1);
         let asic_prep = prepare_asic_cover(&choice, &lib, &asic_params);
-        let asic_target = AsicTarget::new(&lib, asic_prep.cuts());
-        let asic_problem =
-            CoverProblem::with_skeleton(&choice, &asic_target, Cow::Borrowed(asic_prep.skeleton()));
+        let asic_target = AsicTarget::new(&lib);
+        let asic_problem = CoverProblem::new(&choice, &asic_target, asic_prep.skeleton());
         // Exactness first, also outside the timed region: the memoised cover
         // must be bit-identical to full recomputation at every round count.
         let lut_identical = ROUND_COUNTS.iter().all(|&r| {

@@ -33,8 +33,8 @@
 //! # The cache
 //!
 //! [`PreparedFlowCache`] is a bounded, strict-LRU store of prepared flows
-//! with byte-size accounting (`approx_bytes` estimates, cut arenas plus
-//! candidate skeletons dominating). Like the service's
+//! with byte-size accounting (`approx_bytes` estimates, the candidate
+//! skeletons and the networks dominating). Like the service's
 //! [`SharedNpnCache`], its *telemetry* (hit/miss/eviction counts, eviction
 //! order) depends on scheduling — two racing coordinators may both miss on
 //! the same circuit and build twice — but *outputs* never do. Both failpoints
@@ -266,8 +266,8 @@ impl PreparedFlow {
     }
 
     /// Approximate heap footprint in bytes: the stored network, the choice
-    /// network and every prepared mapper state (cut arenas plus candidate
-    /// skeletons — by far the dominant terms).
+    /// network and every prepared mapper state (its candidate skeleton and,
+    /// for a fusion guide, the memoised cones).
     pub fn approx_bytes(&self) -> usize {
         let mappers = self.lock_mappers();
         let mapper_bytes: usize = mappers

@@ -267,6 +267,22 @@ impl LeafBuf {
     }
 }
 
+impl FromIterator<NodeId> for LeafBuf {
+    /// Collects the leaves in iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`MAX_CUT_SIZE`] leaves are given.
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
+        let mut buf = LeafBuf::new();
+        for leaf in iter {
+            assert!(buf.len() < MAX_CUT_SIZE, "too many leaves");
+            buf.push(leaf);
+        }
+        buf
+    }
+}
+
 impl std::ops::Deref for LeafBuf {
     type Target = [NodeId];
 

@@ -85,8 +85,9 @@ impl Default for CutParams {
 
 /// All cut sets of a network: one shared cut arena plus a `(start, len)` span
 /// per node, with the per-node best arrival/area-flow estimates and the
-/// fanout counts the area-flow recurrence divides by.
-#[derive(Clone, Debug)]
+/// fanout counts the area-flow recurrence divides by. The default is the
+/// empty set: no node, no cut, no allocation.
+#[derive(Clone, Debug, Default)]
 pub struct NetworkCuts {
     pub(crate) params: CutParams,
     pub(crate) model: CutCostModel,

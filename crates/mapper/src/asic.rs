@@ -12,7 +12,7 @@ use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
 use crate::netlist::{source_refs, CellNetlist, NetRef};
 use crate::prepared::{map_asic_prepared, prepare_asic_cover};
 use mch_choice::ChoiceNetwork;
-use mch_cut::{CutCost, CutCostModel, NetworkCuts, MAX_CUT_SIZE};
+use mch_cut::{Cut, CutCost, CutCostModel, LeafBuf, MAX_CUT_SIZE};
 use mch_logic::{FastMap, GateKind, Network, NodeId, Signal, TruthTable};
 use mch_techlib::{CellId, Library};
 
@@ -137,19 +137,22 @@ impl Default for AsicMapParams {
 }
 
 /// One concrete way of covering a node: a cut reduced to its support, matched
-/// onto a library cell, with the inverters the match requires.
+/// onto a library cell, with the inverters the match requires. The leaves
+/// and the pin permutation are held inline, so a skeleton's candidate arena
+/// is one allocation.
 ///
 /// Opaque outside this module; public only because it is [`AsicTarget`]'s
 /// [`CoverTarget::Candidate`] associated type.
 #[derive(Clone, Debug)]
 pub struct MatchCandidate {
-    leaves: Vec<NodeId>,
+    leaves: LeafBuf,
     /// The support-reduced cut function the matched cell implements, over
     /// `leaves` in order. Carried so the fusion pipeline can harvest a
     /// selected ASIC cone as a ready-made LUT candidate (`fusion.rs`).
     function: TruthTable,
     cell: CellId,
-    pin_perm: Vec<usize>,
+    /// The cell pin driven by leaf `i`.
+    pin_perm: [u8; MAX_CUT_SIZE],
     input_neg: u32,
     output_neg: bool,
     area: f64,
@@ -164,14 +167,12 @@ impl MatchCandidate {
         (&self.leaves, &self.function)
     }
 
-    /// Approximate memory footprint in bytes (inline size plus owned heap).
-    /// Feeds [`crate::PreparedCover::approx_bytes`] for the warm-start
-    /// cache's byte accounting.
+    /// Approximate memory footprint in bytes: the candidate's arena slot
+    /// plus the heap words of a function over more than six inputs. Feeds
+    /// [`crate::PreparedCover::approx_bytes`] for the warm-start cache's
+    /// byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.leaves.capacity() * std::mem::size_of::<NodeId>()
-            + self.function.heap_bytes()
-            + self.pin_perm.capacity() * std::mem::size_of::<usize>()
+        std::mem::size_of::<Self>() + self.function.heap_bytes()
     }
 }
 
@@ -219,18 +220,16 @@ fn direct_fanin_cut(net: &Network, id: NodeId) -> (Vec<NodeId>, TruthTable) {
 /// does exactly that).
 pub struct AsicTarget<'a> {
     library: &'a Library,
-    cuts: &'a NetworkCuts,
     inv_delay: f64,
     inv_area: f64,
 }
 
 impl<'a> AsicTarget<'a> {
-    /// Creates the target over pre-enumerated cuts (the cut set of a
-    /// [`prepare_asic_cover`]).
-    pub fn new(library: &'a Library, cuts: &'a NetworkCuts) -> Self {
+    /// Creates the target for `library`; the cut lists its candidates are
+    /// matched from are handed to [`crate::CoverSkeleton::build`].
+    pub fn new(library: &'a Library) -> Self {
         AsicTarget {
             library,
-            cuts,
             inv_delay: library.inverter_delay(),
             inv_area: library.inverter_area(),
         }
@@ -241,17 +240,17 @@ impl CoverTarget for AsicTarget<'_> {
     type Candidate = MatchCandidate;
     type Netlist = CellNetlist;
 
-    fn candidates(&self, net: &Network, id: NodeId) -> Vec<MatchCandidate> {
+    fn candidates(&self, net: &Network, id: NodeId, cuts: &[Cut], out: &mut Vec<MatchCandidate>) {
         let library = self.library;
         let inv_delay = self.inv_delay;
         let inv_area = self.inv_area;
-        let mut cands = Vec::new();
+        let start = out.len();
         // The direct-fanin cut carries the gate's own primitive function, the
         // one shape every usable library covers. Cost-aware rankings can
         // truncate it out of the enumerated set, so it is re-synthesised here
         // as a guaranteed-matchable candidate.
         let fallback = direct_fanin_cut(net, id);
-        let enumerated = self.cuts.of(id).iter().map(|c| (c.leaves(), c.function()));
+        let enumerated = cuts.iter().map(|c| (c.leaves(), c.function()));
         let all = enumerated.chain(std::iter::once((
             fallback.0.as_slice(),
             &fallback.1,
@@ -269,13 +268,17 @@ impl CoverTarget for AsicTarget<'_> {
             let Some((best_area, best_delay)) = library.best_matches(&reduced) else {
                 continue;
             };
-            let leaves: Vec<NodeId> = support.iter().map(|&i| cut_leaves[i]).collect();
+            let leaves: LeafBuf = support.iter().map(|&i| cut_leaves[i]).collect();
             for m in [best_area, best_delay] {
+                let mut pin_perm = [0u8; MAX_CUT_SIZE];
+                for (pin, &p) in pin_perm.iter_mut().zip(m.perm()) {
+                    *pin = u8::try_from(p).expect("a cell pin index fits in u8");
+                }
                 let cand = MatchCandidate {
-                    leaves: leaves.clone(),
+                    leaves,
                     function: reduced.clone(),
                     cell: m.cell(),
-                    pin_perm: m.perm().to_vec(),
+                    pin_perm,
                     input_neg: m.input_neg(),
                     output_neg: m.output_neg(),
                     area: library.cell(m.cell()).area()
@@ -284,18 +287,19 @@ impl CoverTarget for AsicTarget<'_> {
                     output_extra: if m.output_neg() { inv_delay } else { 0.0 },
                 };
                 // Avoid exact duplicates.
-                if !cands.iter().any(|c: &MatchCandidate| {
-                    c.cell == cand.cell && c.leaves == cand.leaves && c.input_neg == cand.input_neg
+                if !out[start..].iter().any(|c| {
+                    c.cell == cand.cell
+                        && c.leaves.as_slice() == cand.leaves.as_slice()
+                        && c.input_neg == cand.input_neg
                 }) {
-                    cands.push(cand);
+                    out.push(cand);
                 }
             }
         }
         assert!(
-            !cands.is_empty(),
+            out.len() > start,
             "node {id} has no matchable cut; the library cannot cover this network"
         );
-        cands
     }
 
     fn leaves<'b>(&self, cand: &'b MatchCandidate) -> &'b [NodeId] {
@@ -334,8 +338,8 @@ impl CoverTarget for AsicTarget<'_> {
         let mut inverted: FastMap<NodeId, NetRef> = FastMap::default();
         let inverter = self.library.inverter();
 
-        for &id in cover.original_gates {
-            if !cover.needed[id.index()] {
+        for &id in cover.original_gates() {
+            if !cover.is_needed(id) {
                 continue;
             }
             let c = cover.selected(id);
@@ -350,7 +354,7 @@ impl CoverTarget for AsicTarget<'_> {
                             .or_insert_with(|| netlist.push_gate(inverter, vec![other])),
                     };
                 }
-                pin_fanins[c.pin_perm[i]] = r;
+                pin_fanins[usize::from(c.pin_perm[i])] = r;
             }
             let mut out = netlist.push_gate(c.cell, pin_fanins);
             if c.output_neg {

@@ -44,8 +44,8 @@
 
 use crate::mapping::MappingObjective;
 use mch_choice::ChoiceNetwork;
+use mch_cut::{Cut, NetworkCuts};
 use mch_logic::{Network, NodeId};
-use std::borrow::Cow;
 
 /// Slack tolerance of every required-time / arrival comparison in the engine.
 ///
@@ -72,18 +72,20 @@ pub fn meets_bound(arrival: f64, bound: f64) -> bool {
 /// LUT-structures or coarse-grained blocks) can reuse the engine.
 pub trait CoverTarget {
     /// One concrete way of covering a node (a matched cell, a LUT, …).
-    /// `Clone`, so a problem that injects a candidate into a borrowed
-    /// [`CoverSkeleton`] can copy it first.
+    /// `Clone`, so a problem's first injection on a node can start the
+    /// node's own list from the skeleton's.
     type Candidate: Clone;
     /// The netlist type the selected cover is emitted into.
     type Netlist;
 
-    /// Enumerates the candidates of `id`, in a deterministic order.
+    /// Appends the candidates of `id`, enumerated from `cuts` (the node's
+    /// cut list), to `out`, in a deterministic order.
     ///
-    /// Must never return an empty list — every mappable node needs at least
-    /// one implementation (targets assert this with a target-specific
-    /// message).
-    fn candidates(&self, net: &Network, id: NodeId) -> Vec<Self::Candidate>;
+    /// Must append at least one — every mappable node needs an
+    /// implementation (targets assert this with a target-specific message).
+    /// `out` already holds the candidates of earlier nodes: the node's own
+    /// list starts at the length `out` had on entry.
+    fn candidates(&self, net: &Network, id: NodeId, cuts: &[Cut], out: &mut Vec<Self::Candidate>);
 
     /// The candidate's leaves (sorted, distinct, topologically before the
     /// root).
@@ -109,23 +111,29 @@ pub trait CoverTarget {
     fn emit(&self, net: &Network, cover: &Cover<'_, Self::Candidate>) -> Self::Netlist;
 }
 
-/// The selected cover handed to [`CoverTarget::emit`].
+/// The selected cover handed to [`CoverTarget::emit`]: a selection over the
+/// problem's candidate lists (its skeleton's, plus its own injections).
 pub struct Cover<'a, C> {
-    /// The original (representative) gates, in topological order.
-    pub original_gates: &'a [NodeId],
-    /// Candidate lists indexed by node id.
-    pub candidates: &'a [Vec<C>],
-    /// Index of the selected candidate per node id.
-    pub best: &'a [usize],
-    /// Whether the node is part of the cover (reachable from the outputs
-    /// through selected candidates).
-    pub needed: &'a [bool],
+    skeleton: &'a CoverSkeleton<C>,
+    overlay: &'a Overlay<C>,
+    selection: &'a CoverSelection,
 }
 
-impl<C> Cover<'_, C> {
+impl<'a, C> Cover<'a, C> {
+    /// The original (representative) gates, in topological order.
+    pub fn original_gates(&self) -> &'a [NodeId] {
+        &self.skeleton.original_gates
+    }
+
+    /// Whether `id` is part of the cover (reachable from the outputs through
+    /// selected candidates).
+    pub fn is_needed(&self, id: NodeId) -> bool {
+        self.selection.is_needed(id)
+    }
+
     /// The selected candidate of `id`.
-    pub fn selected(&self, id: NodeId) -> &C {
-        &self.candidates[id.index()][self.best[id.index()]]
+    pub fn selected(&self, id: NodeId) -> &'a C {
+        &self.overlay.list(self.skeleton, id.index()).0[self.selection.best[id.index()]]
     }
 }
 
@@ -137,6 +145,7 @@ impl<C> Cover<'_, C> {
 /// pipeline solves an ASIC problem, *reads* the selection to harvest the
 /// chosen cones, and never emits an ASIC netlist at all.
 pub struct CoverSelection {
+    /// Both tables cover the original prefix of the mixed network only.
     best: Vec<usize>,
     needed: Vec<bool>,
 }
@@ -146,13 +155,13 @@ impl CoverSelection {
     /// list for that node). `usize::MAX` for nodes that are not original
     /// gates of the problem.
     pub fn best_index(&self, id: NodeId) -> usize {
-        self.best[id.index()]
+        self.best.get(id.index()).copied().unwrap_or(usize::MAX)
     }
 
     /// Whether `id` is part of the cover (reachable from the outputs through
     /// selected candidates).
     pub fn is_needed(&self, id: NodeId) -> bool {
-        self.needed[id.index()]
+        self.needed.get(id.index()).copied().unwrap_or(false)
     }
 }
 
@@ -174,54 +183,91 @@ pub struct EngineParams {
     pub memoise: bool,
 }
 
+/// Variable-length rows stored back to back in one vector: row `i` is
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+struct Rows<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+/// A row offset; the tables index rows with `u32`s.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a cover table outgrew u32 offsets")
+}
+
 /// The parameter-independent skeleton of a covering problem: the target's
 /// enumerated candidates, the fanout reference estimates and the
-/// candidate-leaf fanout relation.
+/// candidate-leaf fanout relation, over the choice network's original nodes.
 ///
 /// Building a skeleton is the expensive part of preparing a cover (candidate
 /// enumeration — Boolean matching for ASIC targets — dominates it), and the
-/// result depends only on the choice network and the target's cut set, never
-/// on [`EngineParams`]. A skeleton therefore outlives any single solve: the
-/// warm-start layer of `mch_core` caches one per `(choice network, cut set,
-/// library)` and every parameter variant borrows it through
-/// [`CoverProblem::with_skeleton`]. The borrow is copy-on-write: only
-/// [`CoverProblem::inject_candidate`] writes to a skeleton, and it copies a
-/// borrowed one first, so a problem never touches the cached copy and a
-/// problem that injects nothing copies nothing.
-#[derive(Clone, Debug)]
+/// result depends only on the choice network, the target and the cut lists
+/// it was built from, never on [`EngineParams`]. A skeleton therefore
+/// outlives any single solve and its cut lists: the warm-start layer of
+/// `mch_core` caches one per `(choice network, cut set, library)` and every
+/// parameter variant borrows it through [`CoverProblem::new`]. Nothing
+/// writes to a built skeleton: a problem keeps its injected candidates,
+/// their `users` edges and its bonuses in an overlay of its own.
+///
+/// Every table is flat and covers the original prefix `0..original_len()`
+/// of the mixed network, the only nodes a cover maps or reads: candidate
+/// leaves are original nodes, since choice transfer resolves every inherited
+/// leaf to its representative.
+#[derive(Debug)]
 pub struct CoverSkeleton<C> {
     original_gates: Vec<NodeId>,
-    candidates: Vec<Vec<C>>,
+    /// The candidate arena: every original gate's candidates, in node order,
+    /// exactly sized; other nodes' rows are empty.
+    candidates: Rows<C>,
     refs: Vec<f64>,
-    /// The candidate-leaf fanout relation: `users[l]` lists every original
-    /// gate with `l` as a leaf of *some* candidate — the edges dirty bits
-    /// propagate along (see `CandidateCache`).
-    users: Vec<Vec<u32>>,
+    /// The candidate-leaf fanout relation: row `l` lists, ascending, every
+    /// original gate with `l` as a leaf of *some* candidate — the edges
+    /// dirty bits propagate along (see `CandidateCache`).
+    users: Rows<u32>,
 }
 
 impl<C> CoverSkeleton<C> {
-    /// Builds the skeleton: enumerates every original gate's candidates,
-    /// derives fanout reference estimates and the candidate-leaf fanout
-    /// relation. Deterministic — a pure function of `(choice, target)`.
-    pub fn build<T: CoverTarget<Candidate = C>>(choice: &ChoiceNetwork, target: &T) -> Self {
+    /// Builds the skeleton: enumerates every original gate's candidates from
+    /// its list in `cuts`, derives fanout reference estimates and the
+    /// candidate-leaf fanout relation. Deterministic — a pure function of
+    /// `(choice, target, cuts)`. No cut is read after this returns.
+    pub fn build<T: CoverTarget<Candidate = C>>(
+        choice: &ChoiceNetwork,
+        target: &T,
+        cuts: &NetworkCuts,
+    ) -> Self {
         let net = choice.network();
-        let original_gates: Vec<NodeId> = net
-            .gate_ids()
-            .filter(|id| choice.is_original(*id))
-            .collect();
+        let n = choice.original_len();
+        let original_gates: Vec<NodeId> = net.gate_ids().take_while(|id| id.index() < n).collect();
 
-        let mut candidates: Vec<Vec<C>> =
-            std::iter::repeat_with(Vec::new).take(net.len()).collect();
-        for &id in &original_gates {
-            candidates[id.index()] = target.candidates(net, id);
-            assert!(
-                !candidates[id.index()].is_empty(),
-                "node {id} has no cover candidate"
-            );
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let mut items = Vec::new();
+        for i in 0..n {
+            let id = NodeId::from_index(i);
+            if net.is_gate(id) {
+                let before = items.len();
+                target.candidates(net, id, cuts.of(id), &mut items);
+                assert!(items.len() > before, "node {id} has no cover candidate");
+            }
+            start.push(offset(items.len()));
         }
+        items.shrink_to_fit();
+        let candidates = Rows { start, items };
 
         // Fanout reference estimates over the original structure.
-        let mut refs = vec![0.0f64; net.len()];
+        let mut refs = vec![0.0f64; n];
         for &id in &original_gates {
             for f in net.node(id).fanins() {
                 refs[f.node().index()] += 1.0;
@@ -231,19 +277,7 @@ impl<C> CoverSkeleton<C> {
             refs[o.node().index()] += 1.0;
         }
 
-        let mut users: Vec<Vec<u32>> = vec![Vec::new(); net.len()];
-        for &id in &original_gates {
-            for cand in &candidates[id.index()] {
-                for &l in target.leaves(cand) {
-                    users[l.index()].push(id.index() as u32);
-                }
-            }
-        }
-        for list in &mut users {
-            list.sort_unstable();
-            list.dedup();
-        }
-
+        let users = user_rows(&original_gates, &candidates, |c| target.leaves(c));
         CoverSkeleton {
             original_gates,
             candidates,
@@ -252,27 +286,132 @@ impl<C> CoverSkeleton<C> {
         }
     }
 
+    /// Number of nodes the skeleton covers: the choice network's
+    /// `original_len()`.
+    fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
     /// Approximate heap footprint in bytes; `candidate_bytes` supplies the
-    /// per-candidate estimate (candidates are opaque here). Used by the
-    /// warm-start cache's byte accounting.
+    /// per-candidate estimate, its arena slot included (candidates are
+    /// opaque here). Used by the warm-start cache's byte accounting.
     pub fn approx_bytes(&self, candidate_bytes: impl Fn(&C) -> usize) -> usize {
-        let cand_heap: usize = self
-            .candidates
-            .iter()
-            .flat_map(|list| list.iter().map(&candidate_bytes))
-            .sum();
+        // The arena is exactly sized: its slots are the candidates' bytes.
+        let cand_bytes: usize = self.candidates.items.iter().map(candidate_bytes).sum();
         self.original_gates.capacity() * std::mem::size_of::<NodeId>()
-            + self.candidates.capacity() * std::mem::size_of::<Vec<C>>()
-            + cand_heap
+            + cand_bytes
             + self.refs.capacity() * 8
-            + self.users.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self.users.iter().map(|u| u.capacity() * 4).sum::<usize>()
+            + (self.candidates.start.capacity()
+                + self.users.start.capacity()
+                + self.users.items.capacity())
+                * 4
     }
 }
 
-/// A covering problem prepared for (repeated) solving: a
+/// The candidate-leaf fanout relation of `candidates`: row `l` lists,
+/// ascending and without repeats, every gate with `l` as a leaf of some
+/// candidate. Two passes over the edges (count, then fill) build one
+/// exactly-sized table; gates are visited in ascending order, so every row
+/// comes out sorted and a repeated edge always repeats the row's last entry.
+fn user_rows<C>(
+    gates: &[NodeId],
+    candidates: &Rows<C>,
+    leaves: impl Fn(&C) -> &[NodeId],
+) -> Rows<u32> {
+    let n = candidates.len();
+    let each_edge = |f: &mut dyn FnMut(usize, u32)| {
+        let mut last = vec![u32::MAX; n];
+        for &g in gates {
+            let g32 = g.index() as u32;
+            for cand in candidates.row(g.index()) {
+                for &l in leaves(cand) {
+                    if last[l.index()] != g32 {
+                        last[l.index()] = g32;
+                        f(l.index(), g32);
+                    }
+                }
+            }
+        }
+    };
+    let mut start = vec![0u32; n + 1];
+    each_edge(&mut |l, _| start[l + 1] += 1);
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start[..n].to_vec();
+    let mut items = vec![0u32; start[n] as usize];
+    each_edge(&mut |l, g| {
+        items[fill[l] as usize] = g;
+        fill[l] += 1;
+    });
+    Rows { start, items }
+}
+
+/// What a problem writes over its borrowed skeleton, node by node: the
+/// node's own candidate list once an injection extends it, the `users`
+/// edges injections add from it, and its candidates' selection bonuses.
+struct Overlay<C> {
+    /// Per original node, one plus the index of its entry in `nodes`, or
+    /// zero. Empty until the problem's first write, so a problem that only
+    /// solves allocates nothing here.
+    slot: Vec<u32>,
+    nodes: Vec<NodeOverlay<C>>,
+}
+
+struct NodeOverlay<C> {
+    /// The skeleton's list followed by the node's injected candidates;
+    /// empty while none was injected.
+    candidates: Vec<C>,
+    /// Users gained through candidates injected on later nodes, beyond the
+    /// skeleton's row.
+    users: Vec<u32>,
+    /// Selection bonus per candidate index; missing entries are zero.
+    bonus: Vec<f64>,
+}
+
+impl<C> Overlay<C> {
+    fn get(&self, idx: usize) -> Option<&NodeOverlay<C>> {
+        match self.slot.get(idx) {
+            Some(&s) if s != 0 => Some(&self.nodes[s as usize - 1]),
+            _ => None,
+        }
+    }
+
+    /// The entry of node `idx` of a skeleton over `len` nodes, created empty
+    /// on first use.
+    fn entry(&mut self, idx: usize, len: usize) -> &mut NodeOverlay<C> {
+        if self.slot.is_empty() {
+            self.slot = vec![0; len];
+        }
+        if self.slot[idx] == 0 {
+            self.nodes.push(NodeOverlay {
+                candidates: Vec::new(),
+                users: Vec::new(),
+                bonus: Vec::new(),
+            });
+            self.slot[idx] = offset(self.nodes.len());
+        }
+        &mut self.nodes[self.slot[idx] as usize - 1]
+    }
+
+    /// The candidate list and bonuses of node `idx`, read through the
+    /// overlay.
+    fn list<'s>(&'s self, skeleton: &'s CoverSkeleton<C>, idx: usize) -> (&'s [C], &'s [f64]) {
+        match self.get(idx) {
+            Some(node) if !node.candidates.is_empty() => (&node.candidates, &node.bonus),
+            Some(node) => (skeleton.candidates.row(idx), &node.bonus),
+            None => (skeleton.candidates.row(idx), &[]),
+        }
+    }
+
+    fn users(&self, idx: usize) -> &[u32] {
+        self.get(idx).map_or(&[], |node| &node.users)
+    }
+}
+
+/// A covering problem prepared for (repeated) solving: a borrowed
 /// [`CoverSkeleton`] bound to its choice network and target, plus the
-/// per-problem selection bonuses.
+/// problem's own injected candidates and selection bonuses.
 ///
 /// Preparing is the expensive, parameter-independent part of covering
 /// (candidate enumeration dominates it); [`CoverProblem::solve`] runs the
@@ -288,12 +427,8 @@ impl<C> CoverSkeleton<C> {
 pub struct CoverProblem<'a, T: CoverTarget> {
     choice: &'a ChoiceNetwork,
     target: &'a T,
-    /// Borrowed from a prepared cover until the first injection copies it.
-    skeleton: Cow<'a, CoverSkeleton<T::Candidate>>,
-    /// Sparse per-candidate selection bonus (see [`CoverProblem::set_bonus`]).
-    /// Empty (length 0) unless a bonus was ever set, so the unfused path pays
-    /// nothing.
-    bonus: Vec<Vec<f64>>,
+    skeleton: &'a CoverSkeleton<T::Candidate>,
+    overlay: Overlay<T::Candidate>,
 }
 
 /// Per-solve memoisation state of the area-recovery rounds.
@@ -301,50 +436,40 @@ pub struct CoverProblem<'a, T: CoverTarget> {
 /// A node is skipped in an area round when it is clean (no leaf of any of its
 /// candidates changed `(arrival, flow)` since the node was last evaluated)
 /// and its required time is bit-identical to the previous round's. When a
-/// node's `(best, arrival, flow)` does change, its users — via
-/// [`CoverProblem::users`] — are marked dirty; they always sit later in the
-/// same round's topological sweep.
+/// node's `(best, arrival, flow)` does change, its users — the skeleton's
+/// `users` row plus the problem's injected edges — are marked dirty; they
+/// always sit later in the same round's topological sweep.
 struct CandidateCache {
     dirty: Vec<bool>,
     prev_required: Vec<f64>,
 }
 
 impl<'a, T: CoverTarget> CoverProblem<'a, T> {
-    /// Builds the problem: enumerates every original gate's candidates,
-    /// derives fanout reference estimates and the candidate-leaf fanout
-    /// relation ([`CoverSkeleton::build`]).
-    pub fn new(choice: &'a ChoiceNetwork, target: &'a T) -> Self {
-        let skeleton = CoverSkeleton::build(choice, target);
-        Self::with_skeleton(choice, target, Cow::Owned(skeleton))
-    }
-
-    /// Builds the problem around a pre-built skeleton, skipping candidate
-    /// enumeration entirely — the warm-start path.
+    /// Binds a skeleton to its choice network and target.
     ///
     /// `skeleton` must have been built by [`CoverSkeleton::build`] over the
     /// same choice network and an identically-configured target (same cut
-    /// set, same library); the sizes are asserted, the contents are the
-    /// caller's contract. A cached skeleton is passed as
-    /// [`Cow::Borrowed`]: solving and bonuses only read it, and
-    /// [`inject_candidate`](Self::inject_candidate) copies it before its
-    /// first write, so no mutation of this problem reaches the cache. A
-    /// freshly built skeleton that will be injected into is best passed as
-    /// [`Cow::Owned`], which is never copied.
-    pub fn with_skeleton(
+    /// set, same library); the size is asserted, the contents are the
+    /// caller's contract. The skeleton is only read: any number of problems
+    /// share one, and each keeps its injections and bonuses to itself.
+    pub fn new(
         choice: &'a ChoiceNetwork,
         target: &'a T,
-        skeleton: Cow<'a, CoverSkeleton<T::Candidate>>,
+        skeleton: &'a CoverSkeleton<T::Candidate>,
     ) -> Self {
         assert_eq!(
-            skeleton.candidates.len(),
-            choice.network().len(),
-            "skeleton was built over a differently-sized network"
+            skeleton.len(),
+            choice.original_len(),
+            "skeleton was built over a different choice network"
         );
         CoverProblem {
             choice,
             target,
             skeleton,
-            bonus: Vec::new(),
+            overlay: Overlay {
+                slot: Vec::new(),
+                nodes: Vec::new(),
+            },
         }
     }
 
@@ -354,16 +479,32 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
         &self.skeleton.original_gates
     }
 
-    /// The candidate list of `id` (empty for non-original nodes).
+    /// The candidate list of `id`: the skeleton's, followed by the
+    /// candidates this problem injected on it (empty for non-original
+    /// nodes).
     pub fn candidates_of(&self, id: NodeId) -> &[T::Candidate] {
-        &self.skeleton.candidates[id.index()]
+        if id.index() < self.skeleton.len() {
+            self.lists(id.index()).0
+        } else {
+            &[]
+        }
     }
 
     /// The selected candidate of `id` under `sel`.
     ///
     /// Panics when `id` is not an original gate of the problem.
     pub fn selected<'s>(&'s self, sel: &CoverSelection, id: NodeId) -> &'s T::Candidate {
-        &self.skeleton.candidates[id.index()][sel.best_index(id)]
+        self.chosen(&sel.best, id)
+    }
+
+    /// The candidate list and bonuses of original node `idx`.
+    fn lists(&self, idx: usize) -> (&[T::Candidate], &[f64]) {
+        self.overlay.list(self.skeleton, idx)
+    }
+
+    /// The selected candidate of `id` under the per-node selection `best`.
+    fn chosen(&self, best: &[usize], id: NodeId) -> &T::Candidate {
+        &self.lists(id.index()).0[best[id.index()]]
     }
 
     /// Injects an extra candidate on `root` and returns its index in the
@@ -375,36 +516,39 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// (asserted), exactly as for enumerated candidates.
     ///
     /// Injection keeps `CandidateCache` incrementality sound: every leaf of
-    /// the new candidate gains a `users`-list entry for `root`, so dirty-bit
-    /// invalidation reaches the injected cone exactly like an enumerated one.
-    /// The `users` lists stay sorted and deduplicated, preserving the
-    /// deterministic propagation order.
+    /// the new candidate gains a `users` edge to `root` (unless the
+    /// skeleton's row already has it), so dirty-bit invalidation reaches the
+    /// injected cone exactly like an enumerated one.
     ///
-    /// This is the only write to the skeleton: a borrowed skeleton is copied
-    /// here, at the problem's first injection, and never otherwise.
+    /// Only this problem's overlay is written: `root`'s list is copied from
+    /// the skeleton at the node's first injection, and the shared skeleton
+    /// is never touched.
     pub fn inject_candidate(&mut self, root: NodeId, cand: T::Candidate) -> usize {
         let idx = root.index();
+        let skeleton = self.skeleton;
+        let len = skeleton.len();
         assert!(
-            !self.skeleton.candidates[idx].is_empty(),
+            idx < len && !skeleton.candidates.row(idx).is_empty(),
             "injection root {root} is not an original gate of the problem"
         );
-        let skeleton = self.skeleton.to_mut();
+        let user = idx as u32;
         for &l in self.target.leaves(&cand) {
             assert!(
                 l.index() < idx,
                 "injected leaf {l} does not precede root {root}"
             );
-            let list = &mut skeleton.users[l.index()];
-            match list.binary_search(&(idx as u32)) {
-                Ok(_) => {}
-                Err(pos) => list.insert(pos, idx as u32),
+            if skeleton.users.row(l.index()).binary_search(&user).is_err() {
+                let users = &mut self.overlay.entry(l.index(), len).users;
+                if !users.contains(&user) {
+                    users.push(user);
+                }
             }
         }
-        let list = &mut skeleton.candidates[idx];
-        list.push(cand);
-        if !self.bonus.is_empty() && self.bonus[idx].len() < list.len() {
-            self.bonus[idx].resize(list.len(), 0.0);
+        let list = &mut self.overlay.entry(idx, len).candidates;
+        if list.is_empty() {
+            list.extend_from_slice(skeleton.candidates.row(idx));
         }
+        list.push(cand);
         list.len() - 1
     }
 
@@ -418,18 +562,16 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// called. A bonus is a pure function of `(root, cand_index)` and
     /// constant across rounds, so `CandidateCache` memoisation stays exact.
     pub fn set_bonus(&mut self, root: NodeId, cand_index: usize, bonus: f64) {
-        let idx = root.index();
+        let count = self.candidates_of(root).len();
         assert!(
-            cand_index < self.skeleton.candidates[idx].len(),
+            cand_index < count,
             "bonus for nonexistent candidate {cand_index} of {root}"
         );
-        if self.bonus.is_empty() {
-            self.bonus = vec![Vec::new(); self.skeleton.candidates.len()];
+        let bonuses = &mut self.overlay.entry(root.index(), self.skeleton.len()).bonus;
+        if bonuses.len() < count {
+            bonuses.resize(count, 0.0);
         }
-        if self.bonus[idx].len() < self.skeleton.candidates[idx].len() {
-            self.bonus[idx].resize(self.skeleton.candidates[idx].len(), 0.0);
-        }
-        self.bonus[idx][cand_index] = bonus;
+        bonuses[cand_index] = bonus;
     }
 
     /// Runs the covering dynamic program and emits the target netlist.
@@ -462,13 +604,14 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// the final [`CoverTarget::emit`]).
     ///
     /// The fusion pipeline uses this to harvest the cones an ASIC cover
-    /// selects; plain mapping goes through [`CoverProblem::solve`].
+    /// selects; plain mapping goes through [`CoverProblem::solve`]. Every
+    /// per-node table is sized to the original nodes.
     pub fn solve_selection(&self, params: &EngineParams) -> CoverSelection {
         let net = self.choice.network();
         let target = self.target;
         let original_gates = &self.skeleton.original_gates;
-        let candidates = &self.skeleton.candidates;
         let refs = &self.skeleton.refs;
+        let n = self.skeleton.len();
 
         let area_flow = |cand: &T::Candidate, flow: &[f64]| -> f64 {
             let mut acc = target.area(cand);
@@ -477,29 +620,23 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
             }
             acc
         };
-        // Selection-key bias (see `set_bonus`); `bonus` stays empty unless a
-        // bonus was ever granted, in which case the lookup is free.
-        let bonus_of = |idx: usize, cand_i: usize| -> f64 {
-            self.bonus
-                .get(idx)
-                .and_then(|b| b.get(cand_i))
-                .copied()
-                .unwrap_or(0.0)
-        };
+        // Selection-key bias (see `set_bonus`); a node's bonuses are empty
+        // unless one was granted, and a missing entry is zero.
+        let bonus_at = |bonus: &[f64], i: usize| -> f64 { bonus.get(i).copied().unwrap_or(0.0) };
 
         // --------------------------------------------------------------
         // Pass 1: delay-oriented selection.
         // --------------------------------------------------------------
-        let mut arrival = vec![0.0f64; net.len()];
-        let mut flow = vec![0.0f64; net.len()];
-        let mut best: Vec<usize> = vec![usize::MAX; net.len()];
+        let mut arrival = vec![0.0f64; n];
+        let mut flow = vec![0.0f64; n];
+        let mut best: Vec<usize> = vec![usize::MAX; n];
         for &id in original_gates {
-            let cands = &candidates[id.index()];
+            let (cands, bonus) = self.lists(id.index());
             let mut chosen = 0;
             let mut chosen_key = (f64::INFINITY, f64::INFINITY);
             for (i, c) in cands.iter().enumerate() {
                 let arr = target.arrival(c, &arrival);
-                let af = area_flow(c, &flow) - bonus_of(id.index(), i);
+                let af = area_flow(c, &flow) - bonus_at(bonus, i);
                 if (arr, af) < chosen_key {
                     chosen_key = (arr, af);
                     chosen = i;
@@ -522,21 +659,13 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
         // criterion flips from (arrival, flow) to (flow, arrival) there, so
         // the delay-pass results never carry over unexamined.
         let mut cache = CandidateCache {
-            dirty: vec![true; net.len()],
-            prev_required: vec![f64::NAN; net.len()],
+            dirty: vec![true; n],
+            prev_required: vec![f64::NAN; n],
         };
         let strict_delay = params.objective == MappingObjective::Delay;
         for _round in 0..params.area_rounds {
             mch_logic::failpoint!("engine::round");
-            let required = compute_required(
-                net,
-                target,
-                original_gates,
-                candidates,
-                &best,
-                params.objective,
-                delay_target,
-            );
+            let required = self.required(&best, params.objective, delay_target);
             let mut round_changes = 0usize;
             for &id in original_gates {
                 let idx = id.index();
@@ -546,7 +675,7 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
                 {
                     continue;
                 }
-                let cands = &candidates[idx];
+                let (cands, bonus) = self.lists(idx);
                 let node_required = required[idx];
                 // Only the strict-delay objective compares against the best
                 // achievable arrival; skip the extra candidate scan otherwise.
@@ -570,7 +699,7 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
                     if !feasible {
                         continue;
                     }
-                    let af = area_flow(c, &flow) - bonus_of(idx, i);
+                    let af = area_flow(c, &flow) - bonus_at(bonus, i);
                     if (af, arr) < chosen_key {
                         chosen_key = (af, arr);
                         chosen = i;
@@ -591,7 +720,8 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
                         // Dirty every node that reads this one through a
                         // candidate leaf; all of them sit later in this
                         // round's topological sweep.
-                        for &u in &self.skeleton.users[idx] {
+                        let users = self.skeleton.users.row(idx);
+                        for &u in users.iter().chain(self.overlay.users(idx)) {
                             cache.dirty[u as usize] = true;
                         }
                     }
@@ -613,22 +743,13 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
         // Optional exact-area final pass.
         // --------------------------------------------------------------
         if params.exact_area && !original_gates.is_empty() {
-            exact_area_pass(
-                net,
-                target,
-                original_gates,
-                candidates,
-                &mut best,
-                &mut arrival,
-                params.objective,
-                delay_target,
-            );
+            self.exact_area_pass(&mut best, &mut arrival, params.objective, delay_target);
         }
 
         // --------------------------------------------------------------
         // Cover extraction.
         // --------------------------------------------------------------
-        let needed = extract_needed(net, target, candidates, &best);
+        let needed = self.needed(&best);
         CoverSelection { best, needed }
     }
 
@@ -636,203 +757,166 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
     /// target netlist.
     pub fn emit(&self, sel: &CoverSelection) -> T::Netlist {
         let cover = Cover {
-            original_gates: &self.skeleton.original_gates,
-            candidates: &self.skeleton.candidates,
-            best: &sel.best,
-            needed: &sel.needed,
+            skeleton: self.skeleton,
+            overlay: &self.overlay,
+            selection: sel,
         };
         self.target.emit(self.choice.network(), &cover)
     }
-}
 
-/// Backward required-time propagation over the current selections.
-///
-/// Outputs are required at the delay target established by the delay pass;
-/// every selected candidate propagates its root's requirement onto its leaves
-/// through [`CoverTarget::leaf_required`]. For the pure-area objective the
-/// whole vector stays `+inf` (no timing constraint).
-fn compute_required<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    original_gates: &[NodeId],
-    candidates: &[Vec<T::Candidate>],
-    best: &[usize],
-    objective: MappingObjective,
-    delay_target: f64,
-) -> Vec<f64> {
-    let mut required = vec![f64::INFINITY; net.len()];
-    if objective == MappingObjective::Area {
-        return required;
-    }
-    for o in net.outputs() {
-        let idx = o.node().index();
-        required[idx] = required[idx].min(delay_target);
-    }
-    for &id in original_gates.iter().rev() {
-        let r = required[id.index()];
-        if !r.is_finite() {
-            continue;
+    /// Backward required-time propagation over the current selections.
+    ///
+    /// Outputs are required at the delay target established by the delay
+    /// pass; every selected candidate propagates its root's requirement onto
+    /// its leaves through [`CoverTarget::leaf_required`]. For the pure-area
+    /// objective the whole vector stays `+inf` (no timing constraint).
+    fn required(&self, best: &[usize], objective: MappingObjective, delay_target: f64) -> Vec<f64> {
+        let mut required = vec![f64::INFINITY; self.skeleton.len()];
+        if objective == MappingObjective::Area {
+            return required;
         }
-        let c = &candidates[id.index()][best[id.index()]];
-        for (i, l) in target.leaves(c).iter().enumerate() {
-            let slack = target.leaf_required(c, i, r);
-            required[l.index()] = required[l.index()].min(slack);
+        for o in self.choice.network().outputs() {
+            let idx = o.node().index();
+            required[idx] = required[idx].min(delay_target);
         }
-    }
-    required
-}
-
-/// Marks the nodes reachable from the outputs through selected candidates.
-fn extract_needed<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    candidates: &[Vec<T::Candidate>],
-    best: &[usize],
-) -> Vec<bool> {
-    let mut needed = vec![false; net.len()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for o in net.outputs() {
-        if net.is_gate(o.node()) {
-            stack.push(o.node());
-        }
-    }
-    while let Some(id) = stack.pop() {
-        if needed[id.index()] {
-            continue;
-        }
-        needed[id.index()] = true;
-        let c = &candidates[id.index()][best[id.index()]];
-        for l in target.leaves(c) {
-            if net.is_gate(*l) && !needed[l.index()] {
-                stack.push(*l);
-            }
-        }
-    }
-    needed
-}
-
-/// Exact-area re-selection under the final required times.
-///
-/// Maintains reference counts over the current cover and, for each referenced
-/// node in topological order, de-references its selected cone, evaluates
-/// every timing-feasible candidate by the exact area its cone would add
-/// (classical ref/deref walk), commits the best and re-references it.
-/// Arrival times are refreshed along the way so downstream feasibility checks
-/// see the updated cone.
-#[allow(clippy::too_many_arguments)]
-fn exact_area_pass<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    original_gates: &[NodeId],
-    candidates: &[Vec<T::Candidate>],
-    best: &mut [usize],
-    arrival: &mut [f64],
-    objective: MappingObjective,
-    delay_target: f64,
-) {
-    let required = compute_required(
-        net,
-        target,
-        original_gates,
-        candidates,
-        best,
-        objective,
-        delay_target,
-    );
-    // Reference counts of the current cover: selected-candidate leaves plus
-    // primary outputs.
-    let needed = extract_needed(net, target, candidates, best);
-    let mut nrefs = vec![0u32; net.len()];
-    for &id in original_gates {
-        if !needed[id.index()] {
-            continue;
-        }
-        for &l in target.leaves(&candidates[id.index()][best[id.index()]]) {
-            if net.is_gate(l) {
-                nrefs[l.index()] += 1;
-            }
-        }
-    }
-    for o in net.outputs() {
-        if net.is_gate(o.node()) {
-            nrefs[o.node().index()] += 1;
-        }
-    }
-
-    let strict_delay = objective == MappingObjective::Delay;
-    let mut walk: Vec<NodeId> = Vec::new();
-    for &id in original_gates {
-        let idx = id.index();
-        if nrefs[idx] == 0 {
-            continue;
-        }
-        // Take the node's current cone out of the cover.
-        deref_cone(net, target, candidates, best, &mut nrefs, &mut walk, id);
-        let cands = &candidates[idx];
-        let node_required = required[idx];
-        // Only the strict-delay objective compares against the best
-        // achievable arrival; skip the extra candidate scan otherwise.
-        let min_arrival = if strict_delay {
-            cands
-                .iter()
-                .map(|c| target.arrival(c, arrival))
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            f64::INFINITY
-        };
-        let mut chosen = best[idx];
-        let mut chosen_key = (f64::INFINITY, f64::INFINITY);
-        for (i, c) in cands.iter().enumerate() {
-            let arr = target.arrival(c, arrival);
-            let feasible = if strict_delay {
-                meets_bound(arr, min_arrival)
-            } else {
-                !node_required.is_finite() || meets_bound(arr, node_required)
-            };
-            if !feasible {
+        for &id in self.skeleton.original_gates.iter().rev() {
+            let r = required[id.index()];
+            if !r.is_finite() {
                 continue;
             }
-            let ea = ref_cone_area(net, target, candidates, best, &mut nrefs, &mut walk, c);
-            deref_cand(net, target, candidates, best, &mut nrefs, &mut walk, c);
-            if (ea, arr) < chosen_key {
-                chosen_key = (ea, arr);
-                chosen = i;
+            let c = self.chosen(best, id);
+            for (i, l) in self.target.leaves(c).iter().enumerate() {
+                let slack = self.target.leaf_required(c, i, r);
+                required[l.index()] = required[l.index()].min(slack);
             }
         }
-        best[idx] = chosen;
-        arrival[idx] = target.arrival(&cands[chosen], arrival);
-        // Put the (possibly new) cone back.
-        let c = &cands[chosen];
-        ref_cone_area(net, target, candidates, best, &mut nrefs, &mut walk, c);
+        required
     }
-}
 
-/// References `cand`'s leaves and returns the exact area its cone adds:
-/// the candidate's own area plus the cones of leaves newly pulled into the
-/// cover (iterative, no recursion).
-fn ref_cone_area<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    candidates: &[Vec<T::Candidate>],
-    best: &[usize],
-    nrefs: &mut [u32],
-    walk: &mut Vec<NodeId>,
-    cand: &T::Candidate,
-) -> f64 {
-    let mut total = target.area(cand);
-    walk.clear();
-    for &l in target.leaves(cand) {
-        if net.is_gate(l) {
-            nrefs[l.index()] += 1;
-            if nrefs[l.index()] == 1 {
-                walk.push(l);
+    /// Marks the nodes reachable from the outputs through selected
+    /// candidates.
+    fn needed(&self, best: &[usize]) -> Vec<bool> {
+        let net = self.choice.network();
+        let mut needed = vec![false; self.skeleton.len()];
+        let mut stack: Vec<NodeId> = Vec::new();
+        for o in net.outputs() {
+            if net.is_gate(o.node()) {
+                stack.push(o.node());
             }
         }
+        while let Some(id) = stack.pop() {
+            if needed[id.index()] {
+                continue;
+            }
+            needed[id.index()] = true;
+            for l in self.target.leaves(self.chosen(best, id)) {
+                if net.is_gate(*l) && !needed[l.index()] {
+                    stack.push(*l);
+                }
+            }
+        }
+        needed
     }
-    while let Some(n) = walk.pop() {
-        let c = &candidates[n.index()][best[n.index()]];
-        total += target.area(c);
-        for &l in target.leaves(c) {
+
+    /// Exact-area re-selection under the final required times.
+    ///
+    /// Maintains reference counts over the current cover and, for each
+    /// referenced node in topological order, de-references its selected
+    /// cone, evaluates every timing-feasible candidate by the exact area its
+    /// cone would add (classical ref/deref walk), commits the best and
+    /// re-references it. Arrival times are refreshed along the way so
+    /// downstream feasibility checks see the updated cone.
+    fn exact_area_pass(
+        &self,
+        best: &mut [usize],
+        arrival: &mut [f64],
+        objective: MappingObjective,
+        delay_target: f64,
+    ) {
+        let net = self.choice.network();
+        let target = self.target;
+        let required = self.required(best, objective, delay_target);
+        // Reference counts of the current cover: selected-candidate leaves
+        // plus primary outputs.
+        let needed = self.needed(best);
+        let mut nrefs = vec![0u32; self.skeleton.len()];
+        for &id in &self.skeleton.original_gates {
+            if !needed[id.index()] {
+                continue;
+            }
+            for &l in target.leaves(self.chosen(best, id)) {
+                if net.is_gate(l) {
+                    nrefs[l.index()] += 1;
+                }
+            }
+        }
+        for o in net.outputs() {
+            if net.is_gate(o.node()) {
+                nrefs[o.node().index()] += 1;
+            }
+        }
+
+        let strict_delay = objective == MappingObjective::Delay;
+        let mut walk: Vec<NodeId> = Vec::new();
+        for &id in &self.skeleton.original_gates {
+            let idx = id.index();
+            if nrefs[idx] == 0 {
+                continue;
+            }
+            // Take the node's current cone out of the cover.
+            self.deref_cand(best, &mut nrefs, &mut walk, self.chosen(best, id));
+            let cands = self.lists(idx).0;
+            let node_required = required[idx];
+            // Only the strict-delay objective compares against the best
+            // achievable arrival; skip the extra candidate scan otherwise.
+            let min_arrival = if strict_delay {
+                cands
+                    .iter()
+                    .map(|c| target.arrival(c, arrival))
+                    .fold(f64::INFINITY, f64::min)
+            } else {
+                f64::INFINITY
+            };
+            let mut chosen = best[idx];
+            let mut chosen_key = (f64::INFINITY, f64::INFINITY);
+            for (i, c) in cands.iter().enumerate() {
+                let arr = target.arrival(c, arrival);
+                let feasible = if strict_delay {
+                    meets_bound(arr, min_arrival)
+                } else {
+                    !node_required.is_finite() || meets_bound(arr, node_required)
+                };
+                if !feasible {
+                    continue;
+                }
+                let ea = self.ref_cone_area(best, &mut nrefs, &mut walk, c);
+                self.deref_cand(best, &mut nrefs, &mut walk, c);
+                if (ea, arr) < chosen_key {
+                    chosen_key = (ea, arr);
+                    chosen = i;
+                }
+            }
+            best[idx] = chosen;
+            arrival[idx] = target.arrival(&cands[chosen], arrival);
+            // Put the (possibly new) cone back.
+            self.ref_cone_area(best, &mut nrefs, &mut walk, &cands[chosen]);
+        }
+    }
+
+    /// References `cand`'s leaves and returns the exact area its cone adds:
+    /// the candidate's own area plus the cones of leaves newly pulled into
+    /// the cover (iterative, no recursion).
+    fn ref_cone_area(
+        &self,
+        best: &[usize],
+        nrefs: &mut [u32],
+        walk: &mut Vec<NodeId>,
+        cand: &T::Candidate,
+    ) -> f64 {
+        let net = self.choice.network();
+        let mut total = self.target.area(cand);
+        walk.clear();
+        for &l in self.target.leaves(cand) {
             if net.is_gate(l) {
                 nrefs[l.index()] += 1;
                 if nrefs[l.index()] == 1 {
@@ -840,32 +924,33 @@ fn ref_cone_area<T: CoverTarget>(
                 }
             }
         }
-    }
-    total
-}
-
-/// Undoes [`ref_cone_area`] for `cand` (leaves only, not the root).
-fn deref_cand<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    candidates: &[Vec<T::Candidate>],
-    best: &[usize],
-    nrefs: &mut [u32],
-    walk: &mut Vec<NodeId>,
-    cand: &T::Candidate,
-) {
-    walk.clear();
-    for &l in target.leaves(cand) {
-        if net.is_gate(l) {
-            nrefs[l.index()] -= 1;
-            if nrefs[l.index()] == 0 {
-                walk.push(l);
+        while let Some(n) = walk.pop() {
+            let c = self.chosen(best, n);
+            total += self.target.area(c);
+            for &l in self.target.leaves(c) {
+                if net.is_gate(l) {
+                    nrefs[l.index()] += 1;
+                    if nrefs[l.index()] == 1 {
+                        walk.push(l);
+                    }
+                }
             }
         }
+        total
     }
-    while let Some(n) = walk.pop() {
-        let c = &candidates[n.index()][best[n.index()]];
-        for &l in target.leaves(c) {
+
+    /// Undoes [`ref_cone_area`](Self::ref_cone_area) for `cand` (leaves
+    /// only, not the root).
+    fn deref_cand(
+        &self,
+        best: &[usize],
+        nrefs: &mut [u32],
+        walk: &mut Vec<NodeId>,
+        cand: &T::Candidate,
+    ) {
+        let net = self.choice.network();
+        walk.clear();
+        for &l in self.target.leaves(cand) {
             if net.is_gate(l) {
                 nrefs[l.index()] -= 1;
                 if nrefs[l.index()] == 0 {
@@ -873,21 +958,17 @@ fn deref_cand<T: CoverTarget>(
                 }
             }
         }
+        while let Some(n) = walk.pop() {
+            for &l in self.target.leaves(self.chosen(best, n)) {
+                if net.is_gate(l) {
+                    nrefs[l.index()] -= 1;
+                    if nrefs[l.index()] == 0 {
+                        walk.push(l);
+                    }
+                }
+            }
+        }
     }
-}
-
-/// De-references the selected cone of `id` (its current candidate's leaves).
-fn deref_cone<T: CoverTarget>(
-    net: &Network,
-    target: &T,
-    candidates: &[Vec<T::Candidate>],
-    best: &[usize],
-    nrefs: &mut [u32],
-    walk: &mut Vec<NodeId>,
-    id: NodeId,
-) {
-    let c = &candidates[id.index()][best[id.index()]];
-    deref_cand(net, target, candidates, best, nrefs, walk, c);
 }
 
 #[cfg(test)]
@@ -897,7 +978,7 @@ mod tests {
     use crate::mapping::prepare_cuts;
     use mch_choice::{build_mch, MchParams};
     use mch_cut::{CutCost, CutCostModel};
-    use mch_logic::NetworkKind;
+    use mch_logic::{NetworkKind, TruthTable};
     use mch_techlib::LutLibrary;
 
     #[test]
@@ -947,10 +1028,11 @@ mod tests {
         // A wider enumeration supplies the cones the narrow set lost.
         let mut wide = prepare_cuts(&choice, 6, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
         wide.compact();
-        let target = LutTarget::new(&lut, &narrow);
+        let target = LutTarget::new(&lut);
+        let skeleton = CoverSkeleton::build(&choice, &target, &narrow);
 
         let build_injected = || {
-            let mut problem = CoverProblem::new(&choice, &target);
+            let mut problem = CoverProblem::new(&choice, &target, &skeleton);
             let roots: Vec<NodeId> = problem.original_gates().to_vec();
             let mut injected = 0usize;
             for id in roots {
@@ -969,7 +1051,7 @@ mod tests {
                     {
                         continue;
                     }
-                    let i = problem.inject_candidate(id, LutCandidate::from_cone(leaves, reduced));
+                    let i = problem.inject_candidate(id, LutCandidate::from_cone(&leaves, reduced));
                     problem.set_bonus(id, i, 0.25 * lut.area());
                     injected += 1;
                 }
@@ -1027,7 +1109,8 @@ mod tests {
         let lut = LutLibrary::k4();
         let mut cuts = prepare_cuts(&choice, 4, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
         cuts.compact();
-        let target = LutTarget::new(&lut, &cuts);
+        let target = LutTarget::new(&lut);
+        let skeleton = CoverSkeleton::build(&choice, &target, &cuts);
 
         let variants: Vec<EngineParams> = [
             (MappingObjective::Delay, 1, false),
@@ -1047,12 +1130,15 @@ mod tests {
         // Reference: one fresh problem per (variant, repetition).
         let reference: Vec<_> = variants
             .iter()
-            .map(|p| CoverProblem::new(&choice, &target).solve(p))
+            .map(|p| {
+                let fresh = CoverSkeleton::build(&choice, &target, &cuts);
+                CoverProblem::new(&choice, &target, &fresh).solve(p)
+            })
             .collect();
 
         // One shared problem, solved under every variant, forwards then
         // backwards, twice — 4× per variant, interleaved with the others.
-        let shared = CoverProblem::new(&choice, &target);
+        let shared = CoverProblem::new(&choice, &target, &skeleton);
         for _ in 0..2 {
             for (p, expect) in variants.iter().zip(&reference) {
                 assert_eq!(&shared.solve(p), expect, "forward re-solve diverged");
@@ -1069,13 +1155,13 @@ mod tests {
         assert_eq!(shared.emit(&sel), reference[0]);
     }
 
-    /// A borrowed skeleton is never written: a problem that only solves and
-    /// sets bonuses reads the shared candidate lists in place, an injecting
-    /// problem copies them at its first injection and leaves the shared
-    /// skeleton's bytes unchanged, and a sibling over the same borrow still
-    /// solves exactly like a from-scratch problem.
+    /// A problem writes only its own overlay: injections and bonuses leave
+    /// the shared skeleton's bytes unchanged, the injecting problem reads
+    /// the root's skeleton list followed by the injected candidate, and a
+    /// sibling over the same skeleton still solves exactly like one over a
+    /// skeleton no problem ever touched.
     #[test]
-    fn borrowed_skeletons_are_copied_only_by_injection() {
+    fn injections_and_bonuses_stay_in_the_problems_overlay() {
         let mut net = Network::with_name(NetworkKind::Aig, "skeleton-share");
         let a = net.add_inputs(4);
         let b = net.add_inputs(4);
@@ -1088,9 +1174,8 @@ mod tests {
         net.add_output(carry);
         let choice = build_mch(&net, &MchParams::area_oriented());
         let lut = LutLibrary::k6();
-        let mut cuts = prepare_cuts(&choice, 6, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
-        cuts.compact();
-        let target = LutTarget::new(&lut, &cuts);
+        let cuts = prepare_cuts(&choice, 6, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
+        let target = LutTarget::new(&lut);
         let params = EngineParams {
             objective: MappingObjective::Balanced,
             area_rounds: 3,
@@ -1098,34 +1183,57 @@ mod tests {
             memoise: true,
         };
 
-        let fresh = CoverProblem::new(&choice, &target).solve(&params);
-        let skeleton = CoverSkeleton::build(&choice, &target);
+        let untouched = CoverSkeleton::build(&choice, &target, &cuts);
+        let fresh = CoverProblem::new(&choice, &target, &untouched).solve(&params);
+        let skeleton = CoverSkeleton::build(&choice, &target, &cuts);
         let bytes = format!("{skeleton:?}");
 
         // A reader solves and takes a bonus over the shared lists in place.
-        let mut reader = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
+        let mut reader = CoverProblem::new(&choice, &target, &skeleton);
         let root = *reader.original_gates().last().unwrap();
-        let shared = skeleton.candidates[root.index()].as_ptr();
+        let shared = skeleton.candidates.row(root.index());
         reader.set_bonus(root, 0, 0.0);
         assert_eq!(reader.solve(&params), fresh);
-        assert_eq!(reader.candidates_of(root).as_ptr(), shared);
+        assert_eq!(reader.candidates_of(root).as_ptr(), shared.as_ptr());
 
-        // An injecting problem writes to its own copy only.
-        let mut poked = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
-        let cand = poked.candidates_of(root)[0].clone();
-        let i = poked.inject_candidate(root, cand);
+        // An injecting problem extends its own copy of the root's list, and
+        // the new leaf edge lands in its overlay unless the skeleton has it.
+        let mut poked = CoverProblem::new(&choice, &target, &skeleton);
+        let leaf = choice.network().inputs()[0];
+        let cand = LutCandidate::from_cone(&[leaf], TruthTable::var(1, 0));
+        let i = poked.inject_candidate(root, cand.clone());
+        assert_eq!(i, shared.len());
         poked.set_bonus(root, i, 1.0);
-        let _ = poked.solve(&params);
-        assert_ne!(poked.candidates_of(root).as_ptr(), shared);
+        let expected: Vec<LutCandidate> = shared.iter().cloned().chain([cand]).collect();
+        assert_eq!(
+            format!("{:?}", poked.candidates_of(root)),
+            format!("{expected:?}")
+        );
+        let edge = root.index() as u32;
+        assert_eq!(
+            poked.overlay.users(leaf.index()).contains(&edge),
+            !skeleton.users.row(leaf.index()).contains(&edge)
+        );
+        let selection = poked.solve_selection(&params);
         assert_eq!(
             format!("{skeleton:?}"),
             bytes,
-            "injection wrote to the borrow"
+            "a problem wrote to the shared skeleton"
         );
 
-        // A sibling over the same borrow still matches the from-scratch build.
-        let sibling = CoverProblem::with_skeleton(&choice, &target, Cow::Borrowed(&skeleton));
+        // Selections answer for every id: only original gates have a winner.
+        for id in choice.network().node_ids() {
+            if !choice.is_original(id) || !choice.network().is_gate(id) {
+                assert_eq!(selection.best_index(id), usize::MAX, "{id}");
+            }
+            if !choice.is_original(id) {
+                assert!(!selection.is_needed(id), "{id}");
+            }
+        }
+
+        // A sibling over the same skeleton still matches the untouched one.
+        let sibling = CoverProblem::new(&choice, &target, &skeleton);
         assert_eq!(sibling.solve(&params), fresh);
-        assert_eq!(sibling.candidates_of(root).as_ptr(), shared);
+        assert_eq!(sibling.candidates_of(root).as_ptr(), shared.as_ptr());
     }
 }

@@ -46,10 +46,8 @@ use crate::mapping::MappingObjective;
 use crate::netlist::LutNetlist;
 use crate::prepared::{map_lut_prepared, prepare_asic_cover, prepare_lut_cover, PreparedCover};
 use mch_choice::ChoiceNetwork;
-use mch_cut::NetworkCuts;
 use mch_logic::{NodeId, TruthTable};
 use mch_techlib::{Library, LutLibrary};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How the ASIC guide pass feeds the LUT cover (see the module docs).
@@ -135,20 +133,12 @@ pub fn map_lut_fused(
     }
     let guide = prepare_fusion_guide(choice, library, params);
     let cones = harvest_cones(choice, library, &guide, &guide_key(params, lut));
-    // Owned: the injecting modes write to it, and nothing else reads it.
     let prep = prepare_lut_cover(choice, lut, params);
-    solve_guarded(
-        choice,
-        lut,
-        &prep.cuts,
-        Cow::Owned(prep.skeleton),
-        &cones,
-        params,
-    )
+    solve_guarded(choice, lut, &prep.skeleton, &cones, params)
 }
 
 /// The guarded double solve shared by the one-shot and warm-start pipelines,
-/// over a LUT cut set and its skeleton: solve the unguided cover first
+/// over a LUT skeleton: solve the unguided cover first
 /// (identical to [`map_lut`] — same cuts, same engine parameters), then the
 /// guided one, and emit whichever maps better under the objective. Area flow
 /// is a heuristic: an ASIC cone that looks locally cheap can globally reduce
@@ -158,13 +148,12 @@ pub fn map_lut_fused(
 fn solve_guarded(
     choice: &ChoiceNetwork,
     lut: &LutLibrary,
-    cuts: &NetworkCuts,
-    skeleton: Cow<'_, CoverSkeleton<LutCandidate>>,
+    skeleton: &CoverSkeleton<LutCandidate>,
     cones: &[AsicCone],
     params: &LutMapParams,
 ) -> LutNetlist {
-    let target = LutTarget::new(lut, cuts);
-    let mut problem = CoverProblem::with_skeleton(choice, &target, skeleton);
+    let target = LutTarget::new(lut);
+    let mut problem = CoverProblem::new(choice, &target, skeleton);
     let engine = params.engine_params();
     let plain = problem.emit(&problem.solve_selection(&engine));
     apply_cones(&mut problem, lut, cones, params.fusion);
@@ -225,11 +214,11 @@ pub fn prepare_fusion_guide(
 /// [`FusionMode::Off`] the guide artifact is ignored entirely and this is
 /// [`map_lut_prepared`].
 ///
-/// Both skeletons are borrowed, never cloned: the guide's is only read, and
-/// the LUT one is copied by the first cone injection alone (modes
-/// [`FusionMode::Inject`] and [`FusionMode::Full`]). The guide's harvested
-/// cones are memoised on `guide_prep` per `(lut.k(), guide engine
-/// parameters)`, so only the first fused call per key solves the guide.
+/// Both skeletons are borrowed and only read: the cones injected by modes
+/// [`FusionMode::Inject`] and [`FusionMode::Full`] and every bonus live in
+/// the LUT problem's own overlay. The guide's harvested cones are memoised
+/// on `guide_prep` per `(lut.k(), guide engine parameters)`, so only the
+/// first fused call per key solves the guide.
 pub fn map_lut_fused_prepared(
     choice: &ChoiceNetwork,
     lut: &LutLibrary,
@@ -242,8 +231,7 @@ pub fn map_lut_fused_prepared(
         return map_lut_prepared(choice, lut, lut_prep, params);
     }
     let cones = guide_cones(choice, library, guide_prep, guide_key(params, lut));
-    let skeleton = Cow::Borrowed(&lut_prep.skeleton);
-    solve_guarded(choice, lut, &lut_prep.cuts, skeleton, &cones, params)
+    solve_guarded(choice, lut, &lut_prep.skeleton, &cones, params)
 }
 
 /// The cones `guide` harvests under `key`: from its memo, or harvested now
@@ -284,23 +272,21 @@ fn harvest_cones(
     guide: &PreparedCover<MatchCandidate>,
     &(k, engine): &ConeKey,
 ) -> Vec<AsicCone> {
-    let target = AsicTarget::new(library, &guide.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&guide.skeleton));
+    let target = AsicTarget::new(library);
+    let problem = CoverProblem::new(choice, &target, &guide.skeleton);
     let selection = problem.solve_selection(&engine);
 
     // The winning cover: the selected cell cone of every needed gate.
-    let mut selected: Vec<Option<(Vec<NodeId>, TruthTable)>> =
-        vec![None; choice.network().len()];
+    let mut selected: Vec<Option<(&[NodeId], &TruthTable)>> = vec![None; choice.original_len()];
     for &id in problem.original_gates() {
         if selection.is_needed(id) {
-            let (leaves, function) = problem.selected(&selection, id).cone();
-            selected[id.index()] = Some((leaves.to_vec(), function.clone()));
+            selected[id.index()] = Some(problem.selected(&selection, id).cone());
         }
     }
 
     let mut cones = Vec::new();
     for &id in problem.original_gates() {
-        let Some((cell_leaves, _)) = selected[id.index()].as_ref() else {
+        let Some((cell_leaves, _)) = selected[id.index()] else {
             continue;
         };
         // Greedy absorption, deterministic: repeatedly inline the lowest-id
@@ -308,11 +294,11 @@ fn harvest_cones(
         // support still fits one LUT. Every inlined root moves to the
         // interior; its cone leaves join the support unless already interior.
         let mut interior: Vec<NodeId> = vec![id];
-        let mut leaves: Vec<NodeId> = cell_leaves.clone();
+        let mut leaves: Vec<NodeId> = cell_leaves.to_vec();
         loop {
             let mut advanced = false;
             for (pos, &leaf) in leaves.iter().enumerate() {
-                let Some((sub_leaves, _)) = selected[leaf.index()].as_ref() else {
+                let Some((sub_leaves, _)) = selected[leaf.index()] else {
                     continue;
                 };
                 let mut merged = leaves.clone();
@@ -359,7 +345,7 @@ fn harvest_cones(
 /// smaller interior root, so one ascending pass per minterm evaluates the
 /// whole cluster. At most `2^k = 64` minterms over a handful of cells.
 fn evaluate_cluster(
-    selected: &[Option<(Vec<NodeId>, TruthTable)>],
+    selected: &[Option<(&[NodeId], &TruthTable)>],
     interior: &[NodeId],
     leaves: &[NodeId],
 ) -> TruthTable {
@@ -367,9 +353,8 @@ fn evaluate_cluster(
     let mut values = vec![false; interior.len()];
     for minterm in 0..out.num_bits() {
         for (i, &node) in interior.iter().enumerate() {
-            let (cone_leaves, function) = selected[node.index()]
-                .as_ref()
-                .expect("interior nodes are selected cell roots");
+            let (cone_leaves, function) =
+                selected[node.index()].expect("interior nodes are selected cell roots");
             let mut index = 0usize;
             for (var, &l) in cone_leaves.iter().enumerate() {
                 let value = match leaves.binary_search(&l) {
@@ -421,8 +406,7 @@ fn apply_cones(
             }
             None => {
                 if mode.injects() {
-                    let cand =
-                        LutCandidate::from_cone(cone.leaves.clone(), cone.function.clone());
+                    let cand = LutCandidate::from_cone(&cone.leaves, cone.function.clone());
                     let i = problem.inject_candidate(cone.root, cand);
                     if mode.biases() {
                         problem.set_bonus(cone.root, i, bonus);

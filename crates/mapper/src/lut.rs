@@ -12,7 +12,7 @@ use crate::mapping::{MappingObjective, DEFAULT_CUT_LIMIT};
 use crate::netlist::{source_refs, LutNetlist, NetRef};
 use crate::prepared::{map_lut_prepared, prepare_lut_cover};
 use mch_choice::ChoiceNetwork;
-use mch_cut::{CutCost, NetworkCuts};
+use mch_cut::{Cut, CutCost, LeafBuf};
 use mch_logic::{FastMap, Network, NodeId, TruthTable};
 use mch_techlib::LutLibrary;
 
@@ -117,38 +117,42 @@ impl Default for LutMapParams {
 }
 
 /// One concrete way of covering a node with a single LUT: a support-reduced
-/// cut and the LUT mask implementing its function.
+/// cut and the LUT mask implementing its function. The leaves are held
+/// inline, so a skeleton's candidate arena is one allocation.
 ///
 /// Opaque outside this module; public only because it is [`LutTarget`]'s
 /// [`CoverTarget::Candidate`] associated type.
 #[derive(Clone, Debug)]
 pub struct LutCandidate {
-    leaves: Vec<NodeId>,
+    leaves: LeafBuf,
     function: TruthTable,
 }
 
 impl LutCandidate {
-    /// Builds a candidate from a harvested ASIC cone (the fusion injection —
-    /// see `fusion.rs`). `leaves` must be sorted, distinct, non-empty and
-    /// `function` their support-reduced cone function.
-    pub(crate) fn from_cone(leaves: Vec<NodeId>, function: TruthTable) -> Self {
+    /// Builds a candidate over `leaves` (sorted, distinct, non-empty) with
+    /// `function` their support-reduced cone function: a harvested ASIC
+    /// cone (the fusion injection — see `fusion.rs`) or a constant cone's
+    /// one-leaf anchor.
+    pub(crate) fn from_cone(leaves: &[NodeId], function: TruthTable) -> Self {
         debug_assert!(!leaves.is_empty());
         debug_assert!(leaves.windows(2).all(|w| w[0] < w[1]));
-        LutCandidate { leaves, function }
+        LutCandidate {
+            leaves: LeafBuf::from_slice(leaves),
+            function,
+        }
     }
 
     /// Whether this candidate covers exactly the given cone.
     pub(crate) fn matches_cone(&self, leaves: &[NodeId], function: &TruthTable) -> bool {
-        self.leaves == leaves && self.function == *function
+        self.leaves.as_slice() == leaves && self.function == *function
     }
 
-    /// Approximate memory footprint in bytes (inline size plus owned heap).
-    /// Feeds [`crate::PreparedCover::approx_bytes`] for the warm-start
-    /// cache's byte accounting.
+    /// Approximate memory footprint in bytes: the candidate's arena slot
+    /// plus the heap words of a function over more than six inputs. Feeds
+    /// [`crate::PreparedCover::approx_bytes`] for the warm-start cache's
+    /// byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.leaves.capacity() * std::mem::size_of::<NodeId>()
-            + self.function.heap_bytes()
+        std::mem::size_of::<Self>() + self.function.heap_bytes()
     }
 }
 
@@ -159,14 +163,13 @@ impl LutCandidate {
 /// does exactly that).
 pub struct LutTarget<'a> {
     lut: &'a LutLibrary,
-    cuts: &'a NetworkCuts,
 }
 
 impl<'a> LutTarget<'a> {
-    /// Creates the target over pre-enumerated cuts (the cut set of a
-    /// [`prepare_lut_cover`]).
-    pub fn new(lut: &'a LutLibrary, cuts: &'a NetworkCuts) -> Self {
-        LutTarget { lut, cuts }
+    /// Creates the target for `lut`; the cut lists its candidates come from
+    /// are handed to [`crate::CoverSkeleton::build`].
+    pub fn new(lut: &'a LutLibrary) -> Self {
+        LutTarget { lut }
     }
 }
 
@@ -174,44 +177,35 @@ impl CoverTarget for LutTarget<'_> {
     type Candidate = LutCandidate;
     type Netlist = LutNetlist;
 
-    fn candidates(&self, _net: &Network, id: NodeId) -> Vec<LutCandidate> {
-        let mut cands = Vec::new();
-        for cut in self.cuts.of(id).iter() {
+    fn candidates(&self, _net: &Network, id: NodeId, cuts: &[Cut], out: &mut Vec<LutCandidate>) {
+        let start = out.len();
+        for cut in cuts {
             if cut.is_trivial() || cut.size() > self.lut.k() {
                 continue;
             }
             let (reduced, support) = cut.function().shrink_to_support();
-            let leaves: Vec<NodeId> = support.iter().map(|&i| cut.leaves()[i]).collect();
-            if leaves.is_empty() {
+            let cand = if support.is_empty() {
                 // The cone is functionally constant (redundant logic): cover
                 // it with a one-input constant LUT anchored at the cut's
                 // first leaf so the netlist stays structurally uniform.
-                if let Some(&anchor) = cut.leaves().first() {
-                    let function = TruthTable::constant(1, reduced.bit(0));
-                    if !cands
-                        .iter()
-                        .any(|c: &LutCandidate| c.leaves == [anchor] && c.function == function)
-                    {
-                        cands.push(LutCandidate {
-                            leaves: vec![anchor],
-                            function,
-                        });
-                    }
-                }
-                continue;
-            }
-            if !cands
-                .iter()
-                .any(|c: &LutCandidate| c.leaves == leaves && c.function == reduced)
-            {
-                cands.push(LutCandidate {
-                    leaves,
+                let Some(&anchor) = cut.leaves().first() else {
+                    continue;
+                };
+                LutCandidate::from_cone(&[anchor], TruthTable::constant(1, reduced.bit(0)))
+            } else {
+                LutCandidate {
+                    leaves: support.iter().map(|&i| cut.leaves()[i]).collect(),
                     function: reduced,
-                });
+                }
+            };
+            if !out[start..]
+                .iter()
+                .any(|c| c.matches_cone(&cand.leaves, &cand.function))
+            {
+                out.push(cand);
             }
         }
-        assert!(!cands.is_empty(), "node {id} has no K-feasible cut");
-        cands
+        assert!(out.len() > start, "node {id} has no K-feasible cut");
     }
 
     fn leaves<'b>(&self, cand: &'b LutCandidate) -> &'b [NodeId] {
@@ -242,11 +236,11 @@ impl CoverTarget for LutTarget<'_> {
         // driver LUT's function is complemented in place. Otherwise a 1-input
         // inverter LUT is inserted (rare).
         let mut used_positive = vec![false; net.len()];
-        for &id in cover.original_gates {
-            if !cover.needed[id.index()] {
+        for &id in cover.original_gates() {
+            if !cover.is_needed(id) {
                 continue;
             }
-            for l in &cover.selected(id).leaves {
+            for l in cover.selected(id).leaves.iter() {
                 used_positive[l.index()] = true;
             }
         }
@@ -260,7 +254,7 @@ impl CoverTarget for LutTarget<'_> {
             let node = o.node();
             if o.is_complement()
                 && net.is_gate(node)
-                && cover.needed[node.index()]
+                && cover.is_needed(node)
                 && !used_positive[node.index()]
             {
                 emit_complemented[node.index()] = true;
@@ -270,8 +264,8 @@ impl CoverTarget for LutTarget<'_> {
         let mut node_ref = source_refs(net);
         let mut inverted: FastMap<NodeId, NetRef> = FastMap::default();
 
-        for &id in cover.original_gates {
-            if !cover.needed[id.index()] {
+        for &id in cover.original_gates() {
+            if !cover.is_needed(id) {
                 continue;
             }
             let c = cover.selected(id);

@@ -413,9 +413,10 @@ mod tests {
         }
         let lut = mch_techlib::LutLibrary::k4();
         let engine = crate::lut::LutMapParams::default().engine_params();
-        let map = |cuts| {
-            let target = crate::lut::LutTarget::new(&lut, cuts);
-            crate::engine::CoverProblem::new(&mch, &target).solve(&engine)
+        let target = crate::lut::LutTarget::new(&lut);
+        let map = |cuts: &NetworkCuts| {
+            let skeleton = crate::engine::CoverSkeleton::build(&mch, &target, cuts);
+            crate::engine::CoverProblem::new(&mch, &target, &skeleton).solve(&engine)
         };
         assert_eq!(
             map(&wasteful),

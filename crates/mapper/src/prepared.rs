@@ -11,18 +11,19 @@
 //!    the only phase that sees `area_rounds`, `exact_area`, objectives or
 //!    memoisation.
 //!
-//! A [`PreparedCover`] captures phase 1 — the representatives' cut lists
-//! plus the [`CoverSkeleton`] built over them. [`prepare_lut_cover`] and
-//! [`prepare_asic_cover`] are the only places cuts are prepared for a cover.
-//! A parameter sweep prepares once and solves per variant via
-//! [`map_lut_prepared`] / [`map_asic_prepared`] (and
+//! A [`PreparedCover`] captures phase 1 — the [`CoverSkeleton`] built from
+//! the representatives' cut lists; the cut lists themselves are dropped once
+//! the skeleton is built, since no solve, fusion harvest or emitter reads a
+//! cut. [`prepare_lut_cover`] and [`prepare_asic_cover`] are the only places
+//! cuts are prepared for a cover. A parameter sweep prepares once and solves
+//! per variant via [`map_lut_prepared`] / [`map_asic_prepared`] (and
 //! [`crate::fusion::map_lut_fused_prepared`]); the one-shot mappers are the
 //! same calls over a cover they prepare themselves. Every solve borrows the
-//! skeleton copy-on-write (see [`CoverProblem::with_skeleton`]): a plain
-//! solve copies nothing, and the fusion pipeline's candidate injection copies
-//! it before its first write, so no per-problem mutation reaches the shared
-//! copy. Every prepared solve is therefore **byte-identical** to the one-shot
-//! call; `tests/service_warm_start.rs` in `mch_core` pins this end to end.
+//! skeleton and never writes to it (see [`CoverProblem::new`]): the fusion
+//! pipeline's injected candidates and bonuses live in the problem's own
+//! overlay. Every prepared solve is therefore **byte-identical** to the
+//! one-shot call; `tests/service_warm_start.rs` in `mch_core` pins this end
+//! to end.
 
 use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
 use crate::engine::{CoverProblem, CoverSkeleton};
@@ -33,17 +34,13 @@ use crate::netlist::{CellNetlist, LutNetlist};
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCostModel, NetworkCuts};
 use mch_techlib::{Library, LutLibrary};
-use std::borrow::Cow;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The params-independent artifact of one mapper over one choice network:
-/// the cut lists of the original (representative) nodes and the candidate
-/// skeleton enumerated from them.
+/// the candidate skeleton enumerated from the representatives' cut lists.
 ///
-/// Only those lists are kept: [`CoverSkeleton::build`] reads the cuts of
-/// original gates alone, and no solve, fusion harvest or emitter reads a cut
-/// after it. Every choice node's span is empty — its cuts were transferred
-/// onto its representative before the skeleton was built.
+/// No cut list is kept: [`CoverSkeleton::build`] reads the cuts of original
+/// gates alone, and nothing reads a cut after it.
 ///
 /// Build via [`prepare_lut_cover`] / [`prepare_asic_cover`] /
 /// [`crate::fusion::prepare_fusion_guide`]; solve any number of times via the
@@ -57,7 +54,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// the first reuses them (see [`crate::fusion::map_lut_fused_prepared`]).
 /// Every other cover's memo stays empty.
 pub struct PreparedCover<C> {
-    pub(crate) cuts: NetworkCuts,
     pub(crate) skeleton: CoverSkeleton<C>,
     /// Taken only by flow coordinators, never by fan-out helpers, so holding
     /// it across a harvest cannot deadlock. An entry is pushed only after
@@ -66,9 +62,8 @@ pub struct PreparedCover<C> {
 }
 
 impl<C> PreparedCover<C> {
-    fn new(cuts: NetworkCuts, skeleton: CoverSkeleton<C>) -> Self {
+    fn new(skeleton: CoverSkeleton<C>) -> Self {
         PreparedCover {
-            cuts,
             skeleton,
             cones: Mutex::default(),
         }
@@ -80,10 +75,12 @@ impl<C> PreparedCover<C> {
         self.cones.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The cut set the skeleton was enumerated from: the original nodes'
-    /// lists, densely packed; every other node's list is empty.
+    /// The cut lists the cover keeps: always the empty set, since a cover
+    /// keeps none. Retained for callers that still count a cover's cuts
+    /// (the repo benchmark's `mapper.cuts` / `mapper.cut_mb`, which read 0).
     pub fn cuts(&self) -> &NetworkCuts {
-        &self.cuts
+        static NONE: OnceLock<NetworkCuts> = OnceLock::new();
+        NONE.get_or_init(NetworkCuts::default)
     }
 
     /// The candidate skeleton (see [`CoverSkeleton`]).
@@ -101,14 +98,14 @@ impl<C> PreparedCover<C> {
             .iter()
             .flat_map(|(_, cones)| cones.iter().map(AsicCone::approx_bytes))
             .sum();
-        self.cuts.approx_bytes() + self.skeleton.approx_bytes(candidate_bytes) + cone_bytes
+        self.skeleton.approx_bytes(candidate_bytes) + cone_bytes
     }
 }
 
 /// Runs the preparation phase of [`map_lut`](crate::map_lut): cut enumeration
 /// with the unit cost model (exact for LUTs: one level, one LUT per cut),
-/// choice transfer, compaction to the representatives' cut lists, and K-LUT
-/// candidate enumeration.
+/// choice transfer, and K-LUT candidate enumeration from the
+/// representatives' cut lists, which are dropped afterwards.
 ///
 /// Of `params`, only `cut_limit`, `cut_ranking` and `threads` reach this
 /// phase — and `threads` never changes the result (enumeration is
@@ -119,7 +116,7 @@ pub fn prepare_lut_cover(
     lut: &LutLibrary,
     params: &LutMapParams,
 ) -> PreparedCover<LutCandidate> {
-    let mut cuts = prepare_cuts(
+    let cuts = prepare_cuts(
         choice,
         lut.k(),
         params.cut_limit,
@@ -127,16 +124,8 @@ pub fn prepare_lut_cover(
         &CutCostModel::unit(),
         params.threads,
     );
-    // Choice transfer leaves dead spans behind (`commit_extension` cannot
-    // always rewrite in place), and the choice nodes' own lists are spent
-    // once transferred. Keep the original nodes' lists, densely packed and
-    // byte-for-byte unchanged — the only ones the skeleton reads.
-    cuts.retain_first(choice.original_len());
-    let skeleton = {
-        let target = LutTarget::new(lut, &cuts);
-        CoverSkeleton::build(choice, &target)
-    };
-    PreparedCover::new(cuts, skeleton)
+    let target = LutTarget::new(lut);
+    PreparedCover::new(CoverSkeleton::build(choice, &target, &cuts))
 }
 
 /// The solving phase of [`map_lut`](crate::map_lut) over a prepared cover.
@@ -150,15 +139,15 @@ pub fn map_lut_prepared(
     prep: &PreparedCover<LutCandidate>,
     params: &LutMapParams,
 ) -> LutNetlist {
-    let target = LutTarget::new(lut, &prep.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&prep.skeleton));
+    let target = LutTarget::new(lut);
+    let problem = CoverProblem::new(choice, &target, &prep.skeleton);
     problem.solve(&params.engine_params())
 }
 
 /// Runs the preparation phase of [`map_asic`](crate::map_asic): cut
-/// enumeration with the [`library_cost_model`] ranking, choice transfer,
-/// compaction to the representatives' cut lists, and Boolean matching of
-/// every cut against the library.
+/// enumeration with the [`library_cost_model`] ranking, choice transfer, and
+/// Boolean matching of the representatives' cuts against the library; the
+/// cut lists are dropped afterwards.
 ///
 /// Of `params`, only `cut_limit`, `cut_ranking` and `threads` reach this
 /// phase; `threads` never changes the result, so a cache key needs only the
@@ -169,7 +158,7 @@ pub fn prepare_asic_cover(
     params: &AsicMapParams,
 ) -> PreparedCover<MatchCandidate> {
     let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
+    let cuts = prepare_cuts(
         choice,
         cut_size,
         params.cut_limit,
@@ -177,12 +166,8 @@ pub fn prepare_asic_cover(
         &library_cost_model(library),
         params.threads,
     );
-    cuts.retain_first(choice.original_len());
-    let skeleton = {
-        let target = AsicTarget::new(library, &cuts);
-        CoverSkeleton::build(choice, &target)
-    };
-    PreparedCover::new(cuts, skeleton)
+    let target = AsicTarget::new(library);
+    PreparedCover::new(CoverSkeleton::build(choice, &target, &cuts))
 }
 
 /// The solving phase of [`map_asic`](crate::map_asic) over a prepared cover.
@@ -196,8 +181,8 @@ pub fn map_asic_prepared(
     prep: &PreparedCover<MatchCandidate>,
     params: &AsicMapParams,
 ) -> CellNetlist {
-    let target = AsicTarget::new(library, &prep.cuts);
-    let problem = CoverProblem::with_skeleton(choice, &target, Cow::Borrowed(&prep.skeleton));
+    let target = AsicTarget::new(library);
+    let problem = CoverProblem::new(choice, &target, &prep.skeleton);
     problem.solve(&params.engine_params())
 }
 
@@ -283,11 +268,22 @@ mod tests {
     fn prepared_cover_reports_a_plausible_footprint() {
         let net = adder6();
         let choice = build_mch(&net, &MchParams::area_oriented());
-        let prep = prepare_lut_cover(&choice, &LutLibrary::k6(), &LutMapParams::default());
+        let lut = LutLibrary::k6();
+        let prep = prepare_lut_cover(&choice, &lut, &LutMapParams::default());
         let bytes = prep.approx_bytes(LutCandidate::approx_bytes);
-        // The cut arena alone is thousands of bytes for this network; the
+        // The candidate arena is thousands of bytes for this network; the
         // estimate must dominate it and stay finite-ish.
-        assert!(bytes > prep.cuts().approx_bytes());
+        let target = LutTarget::new(&lut);
+        let problem = CoverProblem::new(&choice, &target, prep.skeleton());
+        let arena: usize = problem
+            .original_gates()
+            .iter()
+            .map(|&id| std::mem::size_of_val(problem.candidates_of(id)))
+            .sum();
+        assert!(arena > 1000, "candidate arena of {arena} bytes");
+        assert!(bytes > arena, "{bytes} bytes under the {arena}-byte arena");
         assert!(bytes < 64 << 20, "absurd footprint estimate: {bytes}");
+        assert_eq!(prep.cuts().total_cuts(), 0);
+        assert_eq!(prep.cuts().approx_bytes(), 0);
     }
 }

@@ -1,23 +1,23 @@
-//! The cut lists a prepared cover retains.
+//! What a prepared cover keeps of its cut lists: nothing.
 //!
-//! A `PreparedCover` keeps only the cut lists its candidate skeleton was
-//! built from: those of the choice network's original (representative)
-//! nodes. For each cover — LUT under `lut_area`, ASIC under
-//! `delay_oriented`, and the fusion guide of `lut_fusion` — every original
-//! node's retained list must equal the one cut preparation plus `compact()`
-//! produce, down to signatures and cost bits, and every other node's list
-//! must be empty.
+//! A `PreparedCover` reads the representatives' cut lists once, while its
+//! candidate skeleton is built, and drops them. For each cover — LUT under
+//! `lut_area`, ASIC under `delay_oriented`, and the fusion guide of
+//! `lut_fusion` — the cover's cut set must be empty, and its skeleton must
+//! equal, byte for byte of its `Debug` form, the skeleton built directly
+//! over what cut preparation plus `compact()` produce.
 
 use mch::benchmarks::benchmark;
 use mch::choice::{build_mch, ChoiceNetwork};
 use mch::core::MchConfig;
 use mch::cut::NetworkCuts;
-use mch::logic::NodeId;
 use mch::mapper::{
     library_cost_model, prepare_asic_cover, prepare_cuts, prepare_fusion_guide, prepare_lut_cover,
-    AsicMapParams, CutCostModel, LutMapParams,
+    AsicMapParams, AsicTarget, CoverSkeleton, CoverTarget, CutCostModel, LutMapParams, LutTarget,
+    PreparedCover,
 };
 use mch::techlib::{asap7_lite, LutLibrary};
+use std::fmt::Debug;
 
 const CIRCUITS: [&str; 4] = ["ctrl", "int2float", "router", "i2c"];
 
@@ -32,42 +32,32 @@ fn lut_params(config: &MchConfig) -> LutMapParams {
         .with_threads(1)
 }
 
-fn assert_retained(case: &str, choice: &ChoiceNetwork, kept: &NetworkCuts, mut full: NetworkCuts) {
-    full.compact();
-    let mut retained = 0;
-    for i in 0..choice.network().len() {
-        let id = NodeId::from_index(i);
-        let got = kept.of(id);
-        if !choice.is_original(id) {
-            assert!(
-                got.is_empty(),
-                "{case}: choice node {id} kept {} cuts",
-                got.len()
-            );
-            continue;
-        }
-        let want = full.of(id);
-        assert_eq!(got, want, "{case}: cut list of {id}");
-        for (a, b) in got.iter().zip(want) {
-            assert_eq!(a.signature(), b.signature(), "{case}: signature at {id}");
-            assert_eq!(a.arrival(), b.arrival(), "{case}: arrival at {id}");
-            assert_eq!(
-                a.area_flow().to_bits(),
-                b.area_flow().to_bits(),
-                "{case}: area flow at {id}"
-            );
-        }
-        retained += got.len();
-    }
-    assert_eq!(kept.total_cuts(), retained, "{case}: stray cuts");
+fn assert_cutless<T: CoverTarget>(
+    case: &str,
+    choice: &ChoiceNetwork,
+    prep: &PreparedCover<T::Candidate>,
+    target: &T,
+    mut full: NetworkCuts,
+) where
+    T::Candidate: Debug,
+{
+    assert_eq!(prep.cuts().total_cuts(), 0, "{case}: the cover kept cuts");
+    assert_eq!(prep.cuts().approx_bytes(), 0, "{case}: a cut arena");
     assert!(
-        retained < full.total_cuts(),
-        "{case}: no choice node had cuts to drop"
+        choice.network().len() > choice.original_len(),
+        "{case}: no choice node, so no transferred cut"
+    );
+    full.compact();
+    let want = CoverSkeleton::build(choice, target, &full);
+    assert_eq!(
+        format!("{:?}", prep.skeleton()),
+        format!("{want:?}"),
+        "{case}: skeleton differs from one built over the compacted cuts"
     );
 }
 
 #[test]
-fn lut_covers_retain_only_the_representatives_cut_lists() {
+fn lut_covers_keep_no_cuts_and_match_a_compacted_build() {
     let config = MchConfig::lut_area().with_threads(1);
     let lut = LutLibrary::k6();
     let params = lut_params(&config);
@@ -82,12 +72,13 @@ fn lut_covers_retain_only_the_representatives_cut_lists() {
             &CutCostModel::unit(),
             1,
         );
-        assert_retained(&format!("{circuit} lut_area"), &choice, prep.cuts(), full);
+        let case = format!("{circuit} lut_area");
+        assert_cutless(&case, &choice, &prep, &LutTarget::new(&lut), full);
     }
 }
 
 #[test]
-fn asic_covers_retain_only_the_representatives_cut_lists() {
+fn asic_covers_keep_no_cuts_and_match_a_compacted_build() {
     let config = MchConfig::delay_oriented().with_threads(1);
     let library = asap7_lite();
     let params = AsicMapParams::new(config.objective)
@@ -105,12 +96,12 @@ fn asic_covers_retain_only_the_representatives_cut_lists() {
             1,
         );
         let case = format!("{circuit} delay_oriented");
-        assert_retained(&case, &choice, prep.cuts(), full);
+        assert_cutless(&case, &choice, &prep, &AsicTarget::new(&library), full);
     }
 }
 
 #[test]
-fn fusion_guides_retain_only_the_representatives_cut_lists() {
+fn fusion_guides_keep_no_cuts_and_match_a_compacted_build() {
     let config = MchConfig::lut_fusion().with_threads(1);
     let library = asap7_lite();
     let params = lut_params(&config);
@@ -126,6 +117,6 @@ fn fusion_guides_retain_only_the_representatives_cut_lists() {
             1,
         );
         let case = format!("{circuit} fusion guide");
-        assert_retained(&case, &choice, prep.cuts(), full);
+        assert_cutless(&case, &choice, &prep, &AsicTarget::new(&library), full);
     }
 }

@@ -398,3 +398,42 @@ fn warm_start_cache_telemetry_is_wired_through_service_stats() {
     assert!(stats.prepared_bytes > 0);
     assert_eq!(stats.prepared_evictions, 0);
 }
+
+/// Warm fused jobs write nothing to the cached covers: the candidates they
+/// inject and the bonuses they set stay in each solve's own overlay. On one
+/// service, after a first fused job built the prepared flow and the guide's
+/// cone memo, warm `Inject`, `Full` and `Off` jobs each byte-match their
+/// cold solo runs, and the cache's byte count does not move.
+#[test]
+fn warm_injecting_jobs_match_cold_runs_and_leave_the_cache_bytes_unchanged() {
+    let lib: Library = asap7_lite();
+    let lut = LutLibrary::k6();
+    let network = mch::benchmarks::benchmark("int2float").expect("suite circuit");
+    let base = MchConfig::lut_fusion().with_threads(1);
+    let job = |name: &str, config: MchConfig| {
+        Job::lut_fused(name, network.clone(), lut, lib.clone(), config)
+    };
+    let service = MappingService::new();
+    let first = service.run(job("build", base.clone().with_fusion(FusionMode::Bias)));
+    report_fingerprint(&first);
+    let bytes = service.stats().prepared_bytes;
+    assert!(bytes > 0);
+    for mode in [FusionMode::Inject, FusionMode::Full, FusionMode::Off] {
+        let config = base.clone().with_fusion(mode);
+        let warm = service.run(job("warm", config.clone()));
+        let cold = cold_service().run(job("cold", config));
+        assert_eq!(
+            report_fingerprint(&warm),
+            report_fingerprint(&cold),
+            "warm {mode:?} job diverged from its cold solo run"
+        );
+        assert_eq!(
+            service.stats().prepared_bytes,
+            bytes,
+            "a warm {mode:?} job changed the cached covers' bytes"
+        );
+    }
+    let stats = service.stats();
+    let counts = (stats.prepared_misses, stats.prepared_hits);
+    assert_eq!(counts, (1, 3), "{stats:?}");
+}
