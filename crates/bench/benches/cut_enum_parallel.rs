@@ -5,8 +5,9 @@
 //! work per level — comparing the serial driver against
 //! `enumerate_cuts_threaded` at 2, 4 and 8 worker threads. Every parallel run
 //! is also checked byte-identical to the serial one, and the choice-transfer
-//! path reports the arena slots wasted by `extend_node` (bounded by the
-//! in-place span reuse). Results are written to `BENCH_parallel.json` at the
+//! path (serial, after the threaded enumeration) reports the arena slots
+//! wasted by `NetworkCuts::commit_extension` (bounded by the in-place span
+//! reuse). Results are written to `BENCH_parallel.json` at the
 //! workspace root.
 //!
 //! The host core count is recorded in the JSON: speedups are only meaningful
@@ -118,7 +119,7 @@ fn main() {
     c.final_summary();
 
     // Choice-transfer waste: enumerate + transfer over an MCH choice network
-    // and report how many arena slots extend_node abandoned.
+    // and report how many arena slots the transfer's commits abandoned.
     let transfer_sources: Vec<(&str, Network)> = vec![
         ("voter63", voter(63)),
         ("bar32", barrel_shifter(32)),

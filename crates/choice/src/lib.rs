@@ -12,10 +12,8 @@
 //!   [`decompose`]/[`emit_decomposed`] (DSD/Shannon), cached per NPN class in
 //!   [`NpnDatabase`].
 //!
-//! Construction is one serial pass over the input in node-id order; only its
-//! cut enumeration fans out over threads
-//! ([`mch_cut::WorkerPool`]), so builds are byte-identical at every
-//! [`MchParams::threads`].
+//! Construction is one serial pass over the input in node-id order, cut
+//! enumeration included, on the calling thread.
 //!
 //! # Example
 //!

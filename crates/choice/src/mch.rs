@@ -12,15 +12,15 @@
 //!   class, and emits one candidate per strategy entry through the
 //!   [`NpnDatabase`], until the per-node candidate cap is reached.
 //!
-//! Only the cut enumeration that Algorithm 2 reads fans out over threads
-//! ([`enumerate_cuts_threaded`], byte-identical to the serial enumeration),
-//! so the choice network and the deterministic [`MchStats`] counters are the
-//! same at every [`MchParams::threads`].
+//! The whole construction, the cut enumeration that Algorithm 2 reads
+//! included, runs on the calling thread: at two threads a level-parallel
+//! enumeration ran at about two thirds of the serial one's speed (see
+//! `docs/PERFORMANCE.md`, "Picking `threads`").
 
 use crate::choice_network::ChoiceNetwork;
 use crate::npn_db::{NpnDatabase, SharedNpnCache};
 use crate::strategies::{StrategyEntry, StrategyLibrary};
-use mch_cut::{enumerate_cuts_threaded, Cut, CutCostModel, CutParams, NetworkCuts};
+use mch_cut::{enumerate_cuts, Cut, CutParams, NetworkCuts};
 use mch_logic::{
     critical_path_nodes, mffc, ConeEvaluator, FastSet, GateKind, Network, NetworkKind, NodeId,
     NpnCanonical, Signal, TruthTable,
@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 
 /// Parameters of the MCH construction (the inputs of Algorithm 1).
 ///
-/// `PartialEq` compares every field (including `threads`); callers that key
-/// caches on the choice-relevant subset normalise `threads` first — choice
-/// construction is thread-invariant.
+/// `PartialEq` compares every field (including the unread `threads`);
+/// callers that key caches on the choice-relevant subset normalise `threads`
+/// first.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MchParams {
     /// Representations mixed in through one-to-one mapping (Alg. 1, line 1).
@@ -51,10 +51,8 @@ pub struct MchParams {
     pub area_strategies: StrategyLibrary,
     /// Cap on the number of choices recorded per representative.
     pub max_candidates_per_node: usize,
-    /// Worker threads for the level-parallel cut enumeration inside the
-    /// construction ([`mch_cut::enumerate_cuts_threaded`]); the rest of the
-    /// construction is one serial pass. Results are identical for every
-    /// value. Defaults to [`mch_cut::default_threads`].
+    /// Unread: the construction is serial. Kept only so that code which
+    /// still sets it keeps compiling; the presets set 1.
     pub threads: usize,
 }
 
@@ -71,7 +69,7 @@ impl MchParams {
             level_strategies: StrategyLibrary::level_oriented(&[NetworkKind::Aig, NetworkKind::Xag]),
             area_strategies: StrategyLibrary::area_oriented(&[NetworkKind::Aig]),
             max_candidates_per_node: 3,
-            threads: mch_cut::default_threads(),
+            threads: 1,
         }
     }
 
@@ -87,7 +85,7 @@ impl MchParams {
             level_strategies: StrategyLibrary::level_oriented(&[NetworkKind::Xag, NetworkKind::Aig]),
             area_strategies: StrategyLibrary::area_oriented(&[NetworkKind::Aig]),
             max_candidates_per_node: 3,
-            threads: mch_cut::default_threads(),
+            threads: 1,
         }
     }
 
@@ -103,7 +101,7 @@ impl MchParams {
             level_strategies: StrategyLibrary::level_oriented(&[NetworkKind::Xmg]),
             area_strategies: StrategyLibrary::area_oriented(&[NetworkKind::Xmg, NetworkKind::Aig]),
             max_candidates_per_node: 3,
-            threads: mch_cut::default_threads(),
+            threads: 1,
         }
     }
 
@@ -119,16 +117,8 @@ impl MchParams {
             level_strategies: StrategyLibrary::level_oriented(kinds),
             area_strategies: StrategyLibrary::area_oriented(kinds),
             max_candidates_per_node: 3,
-            threads: mch_cut::default_threads(),
+            threads: 1,
         }
-    }
-
-    /// Returns the same parameters with an explicit worker-thread count for
-    /// the construction's cut enumeration. Every value produces an identical
-    /// choice network.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 }
 
@@ -141,8 +131,8 @@ impl Default for MchParams {
 /// Statistics reported by [`build_mch`].
 ///
 /// The choice counts and NPN-cache counters are deterministic — identical
-/// for every thread count. The per-phase wall times are measurements and
-/// vary run to run; compare [`timeless`](MchStats::timeless) views when
+/// for every build of the same input. The per-phase wall times are
+/// measurements and vary run to run; compare [`timeless`](MchStats::timeless) views when
 /// asserting determinism.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct MchStats {
@@ -178,8 +168,8 @@ impl MchStats {
     }
 
     /// This statistics record with the wall-time fields zeroed: everything
-    /// left is deterministic, so two builds of the same network at any two
-    /// thread counts satisfy `a.timeless() == b.timeless()`.
+    /// left is deterministic, so two builds of the same network satisfy
+    /// `a.timeless() == b.timeless()`.
     pub fn timeless(&self) -> MchStats {
         MchStats {
             one_to_one_time: Duration::ZERO,
@@ -374,9 +364,8 @@ fn emit_node(
 /// algorithm (Algorithm 2) adds level-oriented candidates on critical paths
 /// and area-oriented candidates elsewhere.
 ///
-/// Cut enumeration shards across [`MchParams::threads`] threads; the rest
-/// is one serial pass, and the result is
-/// byte-identical for every thread count (see the module docs).
+/// The construction is one serial pass on the calling thread (see the module
+/// docs).
 pub fn build_mch(network: &Network, params: &MchParams) -> ChoiceNetwork {
     let (cn, _) = build_mch_with_stats(network, params);
     cn
@@ -397,7 +386,7 @@ pub fn build_mch_with_stats(network: &Network, params: &MchParams) -> (ChoiceNet
 /// Sharing is invisible in the output: [`synthesize`](crate::synthesize) is a
 /// pure function of the class key, so the choice network **and** the
 /// deterministic [`MchStats`] counters are byte-identical to a private-cache
-/// build at every thread count and under any concurrent workload.
+/// build under any concurrent workload.
 pub fn build_mch_with_stats_shared(
     network: &Network,
     params: &MchParams,
@@ -437,13 +426,7 @@ pub fn build_mch_with_stats_shared(
     let phase_start = Instant::now();
     let critical: FastSet<NodeId> = critical_path_nodes(network, params.critical_ratio);
     stats.critical_nodes = critical.len();
-    let cuts = enumerate_cuts_threaded(
-        network,
-        &CutParams::new(params.cut_size, params.cut_limit),
-        &CutCostModel::unit(),
-        params.threads,
-        None,
-    );
+    let cuts = enumerate_cuts(network, &CutParams::new(params.cut_size, params.cut_limit));
     stats.cut_enum_time = phase_start.elapsed();
 
     // ------------------------------------------------------------------
@@ -481,7 +464,7 @@ pub fn build_mch_with_stats_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mch_logic::{cec, levelize, Network, NetworkKind};
+    use mch_logic::{cec, Network, NetworkKind};
 
     fn sample_network() -> Network {
         // A small arithmetic-flavoured network: 4-bit ripple adder MSB plus
@@ -502,8 +485,8 @@ mod tests {
         n
     }
 
-    /// A wider network whose widest level is wide enough to shard the
-    /// construction's cut enumeration.
+    /// A wider network: an 8-bit ripple adder whose sums are mixed with the
+    /// inputs through XOR and AND gates.
     fn wide_network() -> Network {
         let mut n = Network::with_name(NetworkKind::Aig, "wide");
         let a = n.add_inputs(8);
@@ -603,39 +586,6 @@ mod tests {
         assert_eq!(t.npn_cache_hits, 9);
         assert_eq!(t.one_to_one_time, Duration::ZERO);
         assert_eq!(t.resynthesis_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn threaded_construction_is_identical_to_serial() {
-        // The wide network has a level of at least 16 gates, the narrowest
-        // level `enumerate_cuts_threaded` shards, so threads > 1 genuinely
-        // runs the level-parallel cut enumeration; every thread count must
-        // produce the same choice network and the same deterministic
-        // statistics.
-        let net = wide_network();
-        let widest = levelize(&net).as_slices().iter().map(|l| l.len()).max();
-        assert!(
-            widest >= Some(16),
-            "test network too narrow to shard its cut enumeration"
-        );
-        for base in [
-            MchParams::balanced(),
-            MchParams::delay_oriented(),
-            MchParams::area_oriented(),
-        ] {
-            let (serial_cn, serial_stats) =
-                build_mch_with_stats(&net, &base.clone().with_threads(1));
-            for threads in [2, 4, 8] {
-                let (cn, stats) =
-                    build_mch_with_stats(&net, &base.clone().with_threads(threads));
-                assert_eq!(serial_cn, cn, "{threads} threads diverged");
-                assert_eq!(
-                    serial_stats.timeless(),
-                    stats.timeless(),
-                    "{threads}-thread stats diverged"
-                );
-            }
-        }
     }
 
     #[test]

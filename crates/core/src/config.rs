@@ -21,11 +21,8 @@ pub struct MchConfig {
     /// (see [`CutCost`]). The presets pick the ranking that matches their
     /// objective; override it to study the ranking in isolation.
     pub cut_ranking: CutCost,
-    /// Parameters of the MCH construction (Algorithm 1).
-    ///
-    /// Flows ignore `mch.threads` and substitute [`threads`](MchConfig::threads)
-    /// before building choices; it only matters when this field is passed to
-    /// [`mch_choice::build_mch`] directly.
+    /// Parameters of the MCH construction (Algorithm 1). The construction is
+    /// serial; nothing reads [`MchParams::threads`].
     pub mch: MchParams,
     /// Whether the flow additionally mixes whole graph-mapped views of the
     /// design (one per secondary representation) into the choice network, in
@@ -40,21 +37,17 @@ pub struct MchConfig {
     /// area-flow rounds. Off in every preset: it changes covers, and the
     /// preset quality numbers are pinned.
     pub exact_area: bool,
-    /// Threads used throughout the flow: the cut enumeration inside choice
-    /// construction (see [`MchParams::threads`]) and the mapper's
-    /// level-parallel cut enumeration and choice transfer (see
-    /// [`mch_cut::enumerate_cuts_threaded`]). It does not reach the snapshot
-    /// views, which come from one serial cover and one serial link sweep
-    /// (see [`mch_opt::graph_map_all`]). `1` runs fully serial;
-    /// every value produces identical mapping results. A phase never runs on
+    /// Threads for the one phase of the flow that fans out: the mapper's
+    /// level-parallel cut enumeration (see
+    /// [`mch_cut::enumerate_cuts_threaded`]). Choice construction, the
+    /// snapshot views (one cover and one link sweep, see
+    /// [`mch_opt::graph_map_all`]) and the mapper's choice transfer run
+    /// serially on the flow's thread. `1` runs fully serial; every value
+    /// produces identical mapping results. The enumeration never runs on
     /// more than [`mch_cut::WorkerPool::global`]`().workers() + 1` threads,
     /// whatever this asks for. The presets default to
     /// [`mch_cut::default_threads`] (the host's core count, overridable
-    /// through the `MCH_THREADS` environment variable). This field is
-    /// authoritative: flows copy it over [`MchParams::threads`] before
-    /// building choices, so setting it (directly or via
-    /// [`with_threads`](MchConfig::with_threads), which also syncs
-    /// `mch.threads` for direct `build_mch` use) controls every phase.
+    /// through the `MCH_THREADS` environment variable).
     pub threads: usize,
     /// Cross-mapper fusion mode for LUT flows (see [`mch_mapper::fusion`]):
     /// an ASIC guide cover's selected cones are injected into / bias the LUT
@@ -114,11 +107,9 @@ impl MchConfig {
     }
 
     /// Returns the same configuration with an explicit worker-thread count
-    /// for the cut enumeration inside choice construction and the mapper's
-    /// level-parallel cut enumeration and choice transfer.
+    /// for the mapper's level-parallel cut enumeration.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self.mch.threads = self.threads;
         self
     }
 

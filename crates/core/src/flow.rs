@@ -84,18 +84,15 @@ fn obtain_prepared(
 /// representation).
 ///
 /// The views come from one 4-LUT cover of the input ([`graph_map_all`]) and
-/// are linked in one sweep ([`add_snapshot_views`]), serially on the calling
-/// thread, so only the cut enumeration inside [`build_mch_with_stats_shared`]
-/// reads `config.threads` here, and the result is identical for every value.
+/// are linked in one sweep ([`add_snapshot_views`]). Like
+/// [`build_mch_with_stats_shared`], both run serially on the calling thread:
+/// nothing here reads `config.threads`.
 pub(crate) fn build_flow_choices(
     network: &Network,
     config: &MchConfig,
     shared_npn: Option<&Arc<SharedNpnCache>>,
 ) -> ChoiceNetwork {
-    // `config.threads` is authoritative for the whole flow.
-    let mut mch_params = config.mch.clone();
-    mch_params.threads = config.threads;
-    let (mut choices, _) = build_mch_with_stats_shared(network, &mch_params, shared_npn);
+    let (mut choices, _) = build_mch_with_stats_shared(network, &config.mch, shared_npn);
     if config.mix_optimized_snapshots {
         // A restructured view in the input's own representation (this is still
         // "based solely on the input AIG" for the balanced flow), plus one
@@ -517,8 +514,8 @@ pub fn try_lut_flow_mch_with_budget(
 }
 
 /// Fallible [`build_mch`](mch_choice::build_mch): validates the network up
-/// front and contains any panic from choice construction (including fan-out
-/// helpers) as [`FlowError::WorkerPanic`].
+/// front and contains any panic from choice construction (which runs on the
+/// calling thread) as [`FlowError::WorkerPanic`].
 pub fn try_build_mch(
     network: &Network,
     params: &MchParams,

@@ -59,10 +59,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// The choice-relevant subset of an [`MchConfig`]: exactly the fields that
-/// reach [`build_flow_choices`], with `threads` normalised away (choices are
-/// thread-invariant, so jobs differing only in thread count share one
-/// artifact). Derived from the **post-degradation** config, so a budgeted job
-/// that sheds strategies keys on what it actually built.
+/// reach [`build_flow_choices`], with the unread `mch.threads` normalised
+/// away (a caller can still set it by hand, and jobs differing only there
+/// share one artifact). Derived from the **post-degradation** config, so a
+/// budgeted job that sheds strategies keys on what it actually built.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct ChoiceKey {
     objective: MappingObjective,
@@ -518,9 +518,11 @@ mod tests {
         // A config differing in a choice-relevant field misses...
         let other = ChoiceKey::from_config(&MchConfig::balanced());
         assert!(cache.lookup(flow_fingerprint(&net, &other), &net, &other).is_none());
-        // ...but one differing only in thread count normalises to the same key.
-        let threaded = ChoiceKey::from_config(&config.clone().with_threads(7));
-        assert_eq!(key, threaded);
+        // ...but one differing only in the unread `mch.threads` normalises to
+        // the same key.
+        let mut threaded = config.clone();
+        threaded.mch.threads = 7;
+        assert_eq!(key, ChoiceKey::from_config(&threaded));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 

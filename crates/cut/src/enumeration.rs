@@ -133,28 +133,16 @@ impl NetworkCuts {
         proto_costs(leaves, &self.node_costs, &self.fanout_est, &self.model)
     }
 
-    /// Adds `extra` cuts to `node`'s set, deduplicates, re-ranks with `cost`
-    /// and truncates to `limit` (the trivial cut is always retained).
-    ///
-    /// This is the choice-transfer entry point (Algorithm 3, lines 2–8). It is
-    /// [`ranked_extension`](NetworkCuts::ranked_extension) followed by
-    /// [`commit_extension`](NetworkCuts::commit_extension); the level-parallel
-    /// transfer in `mch_mapper` calls the two halves separately so the
-    /// read-only ranking can run on worker threads.
-    pub fn extend_node(&mut self, node: NodeId, extra: &[Cut], limit: usize, cost: CutCost) {
-        if let Some(cuts) = self.ranked_extension(node, extra, limit, cost) {
-            self.commit_extension(node, cuts);
-        }
-    }
-
-    /// Computes — without mutating anything — the cut list
-    /// [`extend_node`](NetworkCuts::extend_node) would store for `node`: the
-    /// node's current cuts plus `extra`, deduplicated, ranked by `cost` and
-    /// truncated to `limit` (the trivial cut is always retained). Returns
+    /// Computes — without mutating anything — the extended cut list of
+    /// `node`: its current cuts plus `extra`, deduplicated, ranked by `cost`
+    /// and truncated to `limit` (the trivial cut is always retained). Returns
     /// `None` when `extra` is empty (nothing to do).
     ///
-    /// This is the read-only half of the choice transfer; hand the result to
-    /// [`commit_extension`](NetworkCuts::commit_extension) to install it.
+    /// This is the ranking half of the choice transfer (Algorithm 3, lines
+    /// 2–8); hand the result to
+    /// [`commit_extension`](NetworkCuts::commit_extension) to install it. The
+    /// mapper ranks a whole level of representatives before it commits any
+    /// of them, so the two halves stay separate.
     pub fn ranked_extension(
         &self,
         node: NodeId,
@@ -214,12 +202,11 @@ impl NetworkCuts {
     }
 
     /// Number of arena slots abandoned by
-    /// [`commit_extension`](NetworkCuts::commit_extension) (directly or via
-    /// [`extend_node`](NetworkCuts::extend_node)): slots no node's span covers
-    /// any more. Plain enumeration never wastes a slot; only representative
-    /// nodes whose cut sets grow past their original span leave waste behind.
-    /// The `cut_enum_parallel` bench reports this so choice-heavy regressions
-    /// are visible.
+    /// [`commit_extension`](NetworkCuts::commit_extension): slots no node's
+    /// span covers any more. Plain enumeration never wastes a slot; only
+    /// representative nodes whose cut sets grow past their original span
+    /// leave waste behind. The `cut_enum_parallel` bench reports this so
+    /// choice-heavy regressions are visible.
     pub fn wasted_slots(&self) -> usize {
         self.wasted
     }
@@ -249,36 +236,19 @@ impl NetworkCuts {
     /// is copied). Worth calling after a choice transfer on very
     /// choice-heavy, memory-bound runs; plain enumeration never needs it.
     pub fn compact(&mut self) -> usize {
-        self.retain_first(self.spans.len())
-    }
-
-    /// [`compact`](NetworkCuts::compact) that keeps only the cut lists of
-    /// nodes `0..nodes` and empties every later node's span — the mappers
-    /// keep the representatives' lists (a choice network's original nodes
-    /// come first) and drop the choice nodes' once their cuts are
-    /// transferred.
-    ///
-    /// Kept nodes' [`of`](NetworkCuts::of) slices are byte-identical before
-    /// and after; per-node costs and fanout estimates are untouched. Returns
-    /// the number of arena slots released: dropped cuts plus waste.
-    pub fn retain_first(&mut self, nodes: usize) -> usize {
-        let nodes = nodes.min(self.spans.len());
-        let (kept, dropped) = self.spans.split_at_mut(nodes);
-        let live: usize = kept.iter().map(|&(_, len)| len as usize).sum();
+        let live = self.total_cuts();
         let reclaimed = self.arena.len() - live;
+        self.wasted = 0;
         if reclaimed == 0 {
-            self.wasted = 0;
             return 0;
         }
         let mut arena: Vec<Cut> = Vec::with_capacity(live);
-        for span in kept {
+        for span in &mut self.spans {
             let (start, len) = *span;
             *span = (arena.len() as u32, len);
             arena.extend_from_slice(&self.arena[start as usize..(start + len) as usize]);
         }
-        dropped.fill((0, 0));
         self.arena = arena;
-        self.wasted = 0;
         reclaimed
     }
 
@@ -1035,6 +1005,13 @@ mod tests {
         );
     }
 
+    /// The choice transfer's two halves back to back on one node.
+    fn extend(cuts: &mut NetworkCuts, node: NodeId, extra: &[Cut], limit: usize, cost: CutCost) {
+        if let Some(ranked) = cuts.ranked_extension(node, extra, limit, cost) {
+            cuts.commit_extension(node, ranked);
+        }
+    }
+
     #[test]
     fn commit_extension_reuses_span_and_tracks_waste() {
         let (n, s, _) = adder_bit();
@@ -1049,7 +1026,7 @@ mod tests {
         // Shrink: a tighter limit makes the new list fit inside the existing
         // span, so it is rewritten in place and only the surplus is waste.
         let limit = before - 2;
-        cuts.extend_node(root, &[pi_cut], limit, CutCost::Structural);
+        extend(&mut cuts, root, &[pi_cut], limit, CutCost::Structural);
         let after = cuts.of(root).len();
         assert!(after <= limit);
         assert_eq!(cuts.wasted_slots(), before - after);
@@ -1059,7 +1036,7 @@ mod tests {
         let wasted = cuts.wasted_slots();
         let dup = cuts.of(root)[0].clone();
         let len = cuts.of(root).len();
-        cuts.extend_node(root, &[dup], 16, CutCost::Structural);
+        extend(&mut cuts, root, &[dup], 16, CutCost::Structural);
         assert_eq!(cuts.of(root).len(), len);
         assert_eq!(cuts.wasted_slots(), wasted);
 
@@ -1072,7 +1049,7 @@ mod tests {
             cuts.leaf_costs(&pis[..1]),
         );
         let cur = cuts.of(root).len();
-        cuts.extend_node(root, &[single], 16, CutCost::Structural);
+        extend(&mut cuts, root, &[single], 16, CutCost::Structural);
         assert_eq!(cuts.of(root).len(), cur + 1);
         assert_eq!(cuts.wasted_slots(), wasted + cur);
     }
@@ -1088,14 +1065,15 @@ mod tests {
         let root = s.node();
         let pis: Vec<NodeId> = n.inputs().to_vec();
         let pi_cut = Cut::with_costs(root, &pis, TruthTable::zeros(3), cuts.leaf_costs(&pis));
-        cuts.extend_node(root, &[pi_cut], cuts.of(root).len() - 2, CutCost::Structural);
+        let limit = cuts.of(root).len() - 2;
+        extend(&mut cuts, root, &[pi_cut], limit, CutCost::Structural);
         let single = Cut::with_costs(
             root,
             &pis[..1],
             TruthTable::var(1, 0),
             cuts.leaf_costs(&pis[..1]),
         );
-        cuts.extend_node(root, &[single], 16, CutCost::Structural);
+        extend(&mut cuts, root, &[single], 16, CutCost::Structural);
         let wasted = cuts.wasted_slots();
         assert!(wasted > 0, "the extensions must leave abandoned slots");
 
@@ -1121,35 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_first_keeps_the_prefix_and_empties_the_rest() {
-        let (n, _, _) = adder_bit();
-        let mut cuts = enumerate_cuts(&n, &CutParams::default());
-        let before: Vec<Vec<Cut>> = (0..n.len())
-            .map(|i| cuts.of(NodeId::from_index(i)).to_vec())
-            .collect();
-        let keep = n.len() - 2;
-        let dropped: usize = before[keep..].iter().map(Vec::len).sum();
-        assert!(dropped > 0, "the last two nodes are gates with cuts");
-        assert_eq!(cuts.retain_first(keep), dropped);
-        assert_eq!(cuts.wasted_slots(), 0);
-        assert_eq!(cuts.total_cuts(), cuts.arena.len());
-        assert_eq!(cuts.arena.capacity(), cuts.arena.len());
-        for (i, old) in before.iter().enumerate() {
-            let new = cuts.of(NodeId::from_index(i));
-            if i < keep {
-                assert_eq!(old.as_slice(), new, "node {i} changed its cuts");
-                for (a, b) in old.iter().zip(new) {
-                    assert_eq!(a.signature(), b.signature());
-                    assert_eq!(a.costs().flow.to_bits(), b.costs().flow.to_bits());
-                }
-            } else {
-                assert!(new.is_empty(), "node {i} kept its cuts");
-            }
-        }
-        assert_eq!(cuts.retain_first(keep), 0);
-    }
-
-    #[test]
     fn approx_bytes_counts_no_heap_for_inline_functions() {
         let (n, _, _) = adder_bit();
         let cuts = enumerate_cuts(&n, &CutParams::default());
@@ -1164,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn extend_node_reranks_and_respects_limit() {
+    fn extension_reranks_and_respects_limit() {
         let (n, s, _) = adder_bit();
         let mut cuts = enumerate_cuts(&n, &CutParams::default());
         let root = s.node();
@@ -1177,14 +1126,14 @@ mod tests {
             TruthTable::zeros(3),
             cuts.leaf_costs(&pis),
         );
-        cuts.extend_node(root, &[extra], 16, CutCost::Structural);
+        extend(&mut cuts, root, &[extra], 16, CutCost::Structural);
         assert!(cuts.of(root).len() <= 16);
         assert!(cuts.of(root).len() >= before.min(16));
         assert!(cuts.of(root).iter().any(|c| c.is_trivial()));
         // Deduplication: extending with an existing cut is a no-op.
         let dup = cuts.of(root)[0].clone();
         let len = cuts.of(root).len();
-        cuts.extend_node(root, &[dup], 16, CutCost::Structural);
+        extend(&mut cuts, root, &[dup], 16, CutCost::Structural);
         assert_eq!(cuts.of(root).len(), len);
     }
 }

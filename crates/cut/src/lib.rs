@@ -40,4 +40,4 @@ pub mod parallel;
 pub use cut::{Cut, CutCost, CutCostModel, CutCosts, CutSet, LeafBuf, MAX_CUT_SIZE};
 pub use enumeration::{enumerate_cuts, enumerate_cuts_with_model, CutParams, NetworkCuts};
 pub use legacy::{legacy_enumerate_cuts, LegacyNetworkCuts};
-pub use parallel::{default_threads, enumerate_cuts_threaded, level_parallel, WorkerPool};
+pub use parallel::{default_threads, enumerate_cuts_threaded, WorkerPool};

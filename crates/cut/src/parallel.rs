@@ -1,5 +1,11 @@
 //! Level-parallel cut enumeration and the fan-out helper behind it.
 //!
+//! This is the one phase of an MCH flow that fans out: the mapper's cut
+//! enumeration over the mixed network (`prepare_cuts` in `mch_mapper`).
+//! Choice construction and the mapper's choice transfer run serially, since
+//! at two threads their level-parallel versions ran no faster than one
+//! thread (`docs/PERFORMANCE.md`, "Picking `threads`").
+//!
 //! Priority-cut enumeration is embarrassingly parallel *within* a topological
 //! level: a gate's cut set depends only on its fanins' cut sets, and every
 //! fanin sits at a strictly smaller level. This module exploits exactly that
@@ -9,8 +15,7 @@
 //! 2. [`WorkerPool::run_with`] fans the shard loops out onto scoped helper
 //!    threads ([`std::thread::scope`], no external dependencies), at most
 //!    [`WorkerPool::workers`] of them per call — the process-wide thread
-//!    budget that also bounds the other fan-outs (choice transfer in
-//!    `mch_mapper`, the batched mapping service in `mch_core`);
+//!    budget that also bounds the batched mapping service in `mch_core`;
 //! 3. each helper runs the same per-node kernel as the serial driver
 //!    (`enumerate_node`) over contiguous, id-ordered shards pulled from a
 //!    per-call task queue, with its own `ProtoCut`/`LeafBuf` scratch, reading
@@ -18,10 +23,6 @@
 //! 4. the coordinator drains shards too, and merges each level back in chunk
 //!    order (which is node-id order within the level) before releasing the
 //!    next level.
-//!
-//! [`level_parallel`] is the generic level-synchronized harness; it is public
-//! precisely so other crates can shard their own per-level (or single-batch)
-//! work the same way.
 //!
 //! # Determinism
 //!
@@ -69,10 +70,9 @@ macro_rules! recover {
     };
 }
 
-/// Smallest level (or representative batch) worth sharding across helper
-/// threads; anything narrower runs inline on the coordinating thread, which
-/// keeps deep, narrow circuits from paying one task-queue round-trip per tiny
-/// level.
+/// Smallest level worth sharding across helper threads; anything narrower
+/// runs inline on the coordinating thread, which keeps deep, narrow circuits
+/// from paying one task-queue round-trip per tiny level.
 pub(crate) const MIN_PARALLEL_LEVEL: usize = 16;
 
 /// Chunks handed out per thread and level when a level is sharded. Chunks
@@ -117,8 +117,9 @@ static GLOBAL_POOL: OnceLock<WorkerPool> = OnceLock::new();
 /// The [`global`](WorkerPool::global) budget is sized once, at first use, by
 /// [`default_threads`]. Helpers live for one call: they are spawned on a
 /// [`std::thread::scope`] and joined before `run_with` returns, so nothing
-/// outlives a phase and no thread idles between phases. Higher level
-/// schedules ([`level_parallel`]) are built on top of `run_with`.
+/// outlives a phase and no thread idles between phases. The level-parallel
+/// enumeration ([`enumerate_cuts_threaded`]) and the batched mapping service
+/// in `mch_core` are built on top of `run_with`.
 pub struct WorkerPool {
     workers: usize,
 }
@@ -160,10 +161,11 @@ impl WorkerPool {
     ///
     /// Jobs must not block waiting for `main` to make progress after `main`
     /// unwinds — a coordinating `main` that feeds jobs through a queue must
-    /// close that queue on unwind (see the close-on-drop guard in
-    /// [`level_parallel`]). Any job no helper took — after a failed spawn,
-    /// say — runs on the calling thread once `main` returns. When called
-    /// *from* a job no helper is spawned: `main`, then every job, runs inline.
+    /// close that queue on unwind (the level-parallel enumeration does so
+    /// with a close-on-drop guard). Any job no helper took — after a failed
+    /// spawn, say — runs on the calling thread once `main` returns. When
+    /// called *from* a job no helper is spawned: `main`, then every job, runs
+    /// inline.
     pub fn run_with<'env>(&self, jobs: Vec<Job<'env>>, main: impl FnOnce()) {
         let helpers = if Self::is_worker() {
             0
@@ -301,8 +303,7 @@ impl Drop for CloseOnDrop<'_> {
 /// items of one level sharded across `threads` loops: the coordinating
 /// thread plus `threads - 1` shard loops run as [`WorkerPool::run_with`]
 /// jobs on the global budget — the level-synchronized harness behind
-/// [`enumerate_cuts_threaded`] and the choice transfer in `mch_mapper`. A
-/// single flat batch is simply one level (`&[items]`).
+/// [`enumerate_cuts_threaded`].
 ///
 /// * `init` builds one scratch value per shard loop (called once per loop
 ///   that runs, plus once on the coordinator);
@@ -314,21 +315,21 @@ impl Drop for CloseOnDrop<'_> {
 ///   preserves item order) after all of that level's shards finished, and is
 ///   the only place that may write shared state.
 ///
-/// Levels shorter than `min_shard` — and everything, when `threads <= 1`, no
-/// level reaches `min_shard`, or the caller already *is* a fan-out job (see
-/// [`WorkerPool::is_worker`]) — run inline on the coordinating thread in the
-/// very same order, so the observable commit sequence is independent of the
-/// thread count. Empty levels are skipped.
+/// Levels shorter than [`MIN_PARALLEL_LEVEL`] run inline on the coordinating
+/// thread in the very same order, so the observable commit sequence is
+/// independent of the thread count. Empty levels are skipped. The caller
+/// decides whether to fan out at all: [`enumerate_cuts_threaded`] takes the
+/// serial driver at one thread, on a pool worker, or when no level reaches
+/// [`MIN_PARALLEL_LEVEL`].
 ///
 /// # Panics
 ///
 /// A panic inside `work` is caught on the helper, forwarded to the
 /// coordinator and re-raised there with its original payload, so callers
 /// observe it like a plain serial panic.
-pub fn level_parallel<T, S, R>(
+pub(crate) fn level_parallel<T, S, R>(
     levels: &[Vec<T>],
     threads: usize,
-    min_shard: usize,
     init: impl Fn() -> S + Sync,
     work: impl Fn(&mut S, &[T]) -> R + Sync,
     mut commit: impl FnMut(Vec<R>),
@@ -336,20 +337,6 @@ pub fn level_parallel<T, S, R>(
     T: Sync,
     R: Send,
 {
-    let min_shard = min_shard.max(2);
-    let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
-    if threads <= 1 || widest < min_shard || WorkerPool::is_worker() {
-        let mut scratch = init();
-        for level in levels {
-            if level.is_empty() {
-                continue;
-            }
-            let result = work(&mut scratch, level);
-            commit(vec![result]);
-        }
-        return;
-    }
-
     let init = &init;
     let work = &work;
     let queue = TaskQueue::new();
@@ -386,7 +373,7 @@ pub fn level_parallel<T, S, R>(
             if level.is_empty() {
                 continue;
             }
-            if level.len() < min_shard {
+            if level.len() < MIN_PARALLEL_LEVEL {
                 let scratch = inline_scratch.get_or_insert_with(init);
                 let result = work(scratch, level);
                 commit(vec![result]);
@@ -395,7 +382,7 @@ pub fn level_parallel<T, S, R>(
             let chunk_size = level
                 .len()
                 .div_ceil(threads * CHUNKS_PER_WORKER)
-                .max(min_shard / 2);
+                .max(MIN_PARALLEL_LEVEL / 2);
             let chunk_count = level.len().div_ceil(chunk_size);
             queue.push_all((0..chunk_count).map(|chunk| {
                 let start = chunk * chunk_size;
@@ -508,7 +495,6 @@ pub fn enumerate_cuts_threaded(
     level_parallel(
         levels.as_slices(),
         threads,
-        MIN_PARALLEL_LEVEL,
         NodeScratch::new,
         |scratch: &mut NodeScratch, shard: &[NodeId]| {
             let state = recover!(shared.read());
@@ -690,7 +676,6 @@ mod tests {
             level_parallel(
                 &levels,
                 threads,
-                8,
                 || (),
                 |_, shard: &[u32]| shard.to_vec(),
                 |results| {
@@ -714,7 +699,6 @@ mod tests {
             level_parallel(
                 &levels,
                 4,
-                8,
                 || (),
                 |_, shard: &[u32]| shard.iter().map(|&x| x as u64).sum::<u64>(),
                 |results: Vec<u64>| *sum.lock().unwrap() += results.iter().sum::<u64>(),
@@ -735,7 +719,6 @@ mod tests {
             level_parallel(
                 &levels,
                 4,
-                8,
                 || (),
                 |_, shard: &[u32]| {
                     if shard.contains(&63) {
@@ -851,7 +834,6 @@ mod tests {
         level_parallel(
             &levels,
             4,
-            8,
             || (),
             |_, shard: &[u32]| shard.iter().map(|&x| x as u64).sum::<u64>(),
             |results: Vec<u64>| *sum.lock().unwrap() += results.iter().sum::<u64>(),
@@ -913,7 +895,6 @@ mod tests {
         level_parallel(
             &levels,
             64,
-            8,
             || (),
             |_, shard: &[usize]| {
                 threads.lock().unwrap().insert(current());

@@ -37,10 +37,10 @@ pub struct LutMapParams {
     /// How cuts are ranked before the per-node `cut_limit` truncates them
     /// (see [`CutCost`]); defaults to the objective's natural ranking.
     pub cut_ranking: CutCost,
-    /// Worker threads for level-parallel cut enumeration and choice transfer
-    /// (see [`mch_cut::enumerate_cuts_threaded`]); `1` selects the serial
-    /// path, results are identical for every value. Defaults to
-    /// [`mch_cut::default_threads`].
+    /// Worker threads for the level-parallel cut enumeration (see
+    /// [`mch_cut::enumerate_cuts_threaded`]); the choice transfer after it is
+    /// serial. `1` selects the serial path, results are identical for every
+    /// value. Defaults to [`mch_cut::default_threads`].
     pub threads: usize,
     /// Cross-mapper fusion mode (see [`crate::fusion`]). Off by default; only
     /// honoured by [`crate::fusion::map_lut_fused`], which has the cell

@@ -8,8 +8,7 @@
 
 use mch_choice::ChoiceNetwork;
 use mch_cut::{
-    enumerate_cuts_threaded, level_parallel, Cut, CutCost, CutCostModel, CutParams, NetworkCuts,
-    MAX_CUT_SIZE,
+    enumerate_cuts_threaded, Cut, CutCost, CutCostModel, CutParams, NetworkCuts, MAX_CUT_SIZE,
 };
 use mch_logic::{NodeId, TruthTable};
 
@@ -195,13 +194,15 @@ pub(crate) fn remap_choice_cut(
 /// computed over representative-level leaves so they compete with structural
 /// cuts on equal terms.
 ///
-/// Both phases shard by topological level across `threads` workers:
-/// enumeration through [`mch_cut::enumerate_cuts_threaded`], and the choice
-/// transfer by splitting [`NetworkCuts::extend_node`] into its read-only
-/// ranking half (remap + re-cost + re-rank, run on the workers, one level of
-/// representatives at a time) and its committing half (applied by the
-/// coordinator in node-id order). Results are bit-identical for every thread
-/// count — `threads <= 1` runs the same batched schedule inline.
+/// Only the enumeration fans out: it shards by topological level across
+/// `threads` workers ([`mch_cut::enumerate_cuts_threaded`]), and its result
+/// is bit-identical for every thread count. The transfer runs serially, one
+/// level of representatives at a time: every representative of a level is
+/// ranked against the costs committed by the lower levels
+/// ([`NetworkCuts::ranked_extension`]), then the level is committed in id
+/// order ([`NetworkCuts::commit_extension`]). At two threads a level-parallel
+/// transfer ran no faster than this loop (see `docs/PERFORMANCE.md`,
+/// "Picking `threads`").
 ///
 /// The returned cut sets are indexed by node id of the mixed network; only
 /// original (representative) nodes are intended to be mapped.
@@ -216,13 +217,13 @@ pub fn prepare_cuts(
     let params = CutParams::new(cut_size, cut_limit).with_cost(cost);
     let net = choice.network();
     let live = live_nodes(choice);
-    let cuts = enumerate_cuts_threaded(net, &params, model, threads, Some(&live));
+    let mut cuts = enumerate_cuts_threaded(net, &params, model, threads, Some(&live));
 
     // Representatives that actually have choices, grouped by their level in
-    // the mixed network: a representative's inherited-cut costs read the
-    // node costs of leaves strictly below it, so — exactly as in enumeration
-    // — all representatives of one level can be re-ranked independently once
-    // every earlier level's extensions are committed.
+    // the mixed network. An inherited cut's costs read its leaves' node
+    // costs, and a level reads only what the levels below it committed: a
+    // leaf on the same or a higher level keeps its pre-transfer costs, even
+    // when its id is lower. Transferring in plain id order would change them.
     let mut repr_levels: Vec<Vec<NodeId>> = Vec::new();
     for repr in choice.representatives() {
         if choice.choices_of(repr).is_empty() {
@@ -236,69 +237,43 @@ pub fn prepare_cuts(
     }
     // `representatives()` iterates in ascending id order (the choice network
     // stores classes in id-sorted structures precisely so no consumer
-    // depends on a hasher seed), so each level bucket is already sorted and
-    // the sharding — and the arena layout the commits produce — is
-    // reproducible run to run.
+    // depends on a hasher seed), so each level commits in id order and the
+    // arena layout the commits produce is reproducible run to run.
     debug_assert!(repr_levels
         .iter()
         .all(|bucket| bucket.windows(2).all(|w| w[0] < w[1])));
 
     let leaf_reprs = leaf_representatives(choice);
-    let shared = std::sync::RwLock::new(cuts);
-    level_parallel(
-        &repr_levels,
-        threads,
-        MIN_TRANSFER_SHARD,
-        Vec::<Cut>::new,
-        |inherited: &mut Vec<Cut>, shard: &[NodeId]| {
-            let cuts = shared
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut extensions: Vec<(NodeId, Vec<Cut>)> = Vec::with_capacity(shard.len());
-            for &repr in shard {
-                inherited.clear();
-                for &(choice_node, phase) in choice.choices_of(repr) {
-                    for cut in cuts.of(choice_node).iter() {
-                        if cut.size() > cut_size {
-                            continue;
-                        }
-                        if let Some(mut remapped) = remap_choice_cut(cut, &leaf_reprs, repr, phase)
-                        {
-                            if remapped.size() <= cut_size && !remapped.is_trivial() {
-                                remapped.set_costs(cuts.leaf_costs(remapped.leaves()));
-                                inherited.push(remapped);
-                            }
+    let mut inherited: Vec<Cut> = Vec::new();
+    for level in &repr_levels {
+        let mut extensions: Vec<(NodeId, Vec<Cut>)> = Vec::with_capacity(level.len());
+        for &repr in level {
+            inherited.clear();
+            for &(choice_node, phase) in choice.choices_of(repr) {
+                for cut in cuts.of(choice_node) {
+                    if cut.size() > cut_size {
+                        continue;
+                    }
+                    if let Some(mut remapped) = remap_choice_cut(cut, &leaf_reprs, repr, phase) {
+                        if remapped.size() <= cut_size && !remapped.is_trivial() {
+                            remapped.set_costs(cuts.leaf_costs(remapped.leaves()));
+                            inherited.push(remapped);
                         }
                     }
                 }
-                // Keep the set bounded (the paper's line 8) while retaining
-                // room for both structural and inherited cuts.
-                if let Some(ranked) =
-                    cuts.ranked_extension(repr, inherited, cut_limit * 2, cost)
-                {
-                    extensions.push((repr, ranked));
-                }
             }
-            extensions
-        },
-        |level_extensions: Vec<Vec<(NodeId, Vec<Cut>)>>| {
-            let mut cuts = shared
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (repr, ranked) in level_extensions.into_iter().flatten() {
-                cuts.commit_extension(repr, ranked);
+            // Keep the set bounded (the paper's line 8) while retaining room
+            // for both structural and inherited cuts.
+            if let Some(ranked) = cuts.ranked_extension(repr, &inherited, cut_limit * 2, cost) {
+                extensions.push((repr, ranked));
             }
-        },
-    );
-    shared
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        }
+        for (repr, ranked) in extensions {
+            cuts.commit_extension(repr, ranked);
+        }
+    }
+    cuts
 }
-
-/// Smallest representative batch worth sharding during choice transfer;
-/// remapping is heavier per node than enumeration, so the threshold is lower
-/// than the enumeration one.
-const MIN_TRANSFER_SHARD: usize = 8;
 
 #[cfg(test)]
 mod tests {

@@ -15,10 +15,13 @@
 //! simulation-equivalent degraded outputs under a breaching budget.
 #![cfg(feature = "fault-injection")]
 
+use mch::benchmarks::{benchmark, demo_adder_gt};
+use mch::choice::{build_mch, MchParams};
 use mch::core::{FlowBudget, FlowError, MchConfig};
-use mch::benchmarks::demo_adder_gt;
+use mch::cut::{enumerate_cuts_threaded, CutCost, CutCostModel, CutParams};
 use mch::io::write_lut_blif;
 use mch::logic::failpoint;
+use mch::mapper::{live_nodes, prepare_cuts};
 use mch::techlib::LutLibrary;
 use std::sync::{Mutex, PoisonError};
 
@@ -111,10 +114,9 @@ fn aborting_failpoints_yield_structured_errors_and_leave_the_pool_reusable() {
 
 /// A fan-out job that panics on dispatch fails its flow with a structured
 /// error. Above one thread the job comes from the mapper's level-parallel
-/// cut enumeration: the widest level of `demo_adder_gt`'s mixed choice
-/// network holds 22 gates, above the 16-gate shard threshold, while the
-/// input's holds 8, so choice construction and the serial snapshot views
-/// dispatch nothing.
+/// cut enumeration, the one phase of a flow that fans out: the widest level
+/// of `demo_adder_gt`'s mixed choice network holds 22 gates, above the
+/// 16-gate shard threshold.
 #[test]
 fn pool_dispatch_fault_fails_the_flow_not_the_process() {
     with_chaos(|| {
@@ -196,4 +198,45 @@ fn degraded_flows_stay_equivalent_under_fault_pressure() {
             assert_eq!(s, &serializations[0], "degraded output must be identical");
         }
     });
+}
+
+/// Where a flow fans out: choice construction dispatches no pool job, even
+/// when its (unread) `threads` field asks for four, and mapper preparation
+/// dispatches exactly the jobs of its level-parallel cut enumeration, so the
+/// choice transfer after it runs serially.
+#[test]
+fn only_the_mappers_cut_enumeration_fans_out() {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut params = MchParams::area_oriented();
+    params.threads = 4;
+    let unit = CutCostModel::unit();
+    let cut_params = CutParams::new(4, 8).with_cost(CutCost::Hybrid);
+    for circuit in ["voter", "i2c", "cavlc", "adder"] {
+        let network = benchmark(circuit).expect("suite circuit");
+        failpoint::disarm();
+        let choice = build_mch(&network, &params);
+        assert_eq!(
+            failpoint::hit_count("pool::dispatch"),
+            0,
+            "{circuit}: choice construction dispatched pool jobs"
+        );
+
+        failpoint::disarm();
+        prepare_cuts(&choice, 4, 8, CutCost::Hybrid, &unit, 4);
+        let prepared = failpoint::hit_count("pool::dispatch");
+
+        let live = live_nodes(&choice);
+        failpoint::disarm();
+        enumerate_cuts_threaded(choice.network(), &cut_params, &unit, 4, Some(&live));
+        let enumerated = failpoint::hit_count("pool::dispatch");
+        assert!(
+            enumerated > 0,
+            "{circuit}: the mapper's cut enumeration did not fan out"
+        );
+        assert_eq!(
+            prepared, enumerated,
+            "{circuit}: mapper preparation dispatched more than its enumeration"
+        );
+    }
+    failpoint::disarm();
 }

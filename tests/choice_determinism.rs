@@ -1,7 +1,7 @@
-//! Determinism of choice construction: `build_mch` and both
-//! full flows at 1, 2, 4 and 8 worker threads must produce **identical**
-//! choice networks (choice classes, deterministic statistics and the mixed
-//! network, node for node) and identical mapped netlists, across AIG, XAG
+//! Determinism of choice construction: repeated `build_mch` calls must
+//! produce **identical** choice networks (choice classes, deterministic
+//! statistics and the mixed network, node for node), and both full flows at
+//! 1, 2, 4 and 8 worker threads identical mapped netlists, across AIG, XAG
 //! and MIG inputs. Thread scheduling must never be observable in a result.
 //!
 //! Also sweeps `ChoiceNetwork::verify` over the random suite — every
@@ -9,10 +9,10 @@
 //! iteration order of `representatives()`.
 //!
 //! The commit-heavy profile (wide circuits, raised candidate cap, two
-//! secondary representations) makes commits dominate the build, and its
-//! wide levels make the level-parallel cut enumeration shard at every tested
-//! thread count, so a cut set that depended on scheduling would change the
-//! committed candidates and show up as a byte difference here.
+//! secondary representations) makes commits dominate the build. Its wide
+//! levels make the mapper's level-parallel cut enumeration shard at every
+//! tested thread count, so a cut set that depended on scheduling would
+//! change the mapped netlists and show up as a byte difference here.
 
 use mch::benchmarks::random_logic;
 use mch::choice::{build_mch, build_mch_with_stats, MchParams};
@@ -40,39 +40,32 @@ fn arbitrary_network(i: usize) -> Network {
 }
 
 #[test]
-fn build_mch_is_identical_across_thread_counts() {
+fn build_mch_is_identical_across_repeated_builds() {
     for i in 0..9 {
         let net = arbitrary_network(i);
-        for base in [
+        for params in [
             MchParams::balanced(),
             MchParams::area_oriented(),
             MchParams::delay_oriented(),
         ] {
-            let (serial_cn, serial_stats) =
-                build_mch_with_stats(&net, &base.clone().with_threads(1));
-            for threads in THREAD_COUNTS {
-                let (cn, stats) =
-                    build_mch_with_stats(&net, &base.clone().with_threads(threads));
-                // Mixed network (node for node), choice classes and phases —
-                // the ChoiceNetwork PartialEq covers all of it.
-                assert_eq!(
-                    serial_cn, cn,
-                    "case {i}: {threads}-thread build diverged from serial"
-                );
-                // Deterministic statistics: choice counts, critical nodes,
-                // NPN cache hits/classes. Only wall times may differ.
-                assert_eq!(
-                    serial_stats.timeless(),
-                    stats.timeless(),
-                    "case {i}: {threads}-thread stats diverged"
-                );
-            }
+            let (first_cn, first_stats) = build_mch_with_stats(&net, &params);
+            let (cn, stats) = build_mch_with_stats(&net, &params);
+            // Mixed network (node for node), choice classes and phases —
+            // the ChoiceNetwork PartialEq covers all of it.
+            assert_eq!(first_cn, cn, "case {i}: a repeated build diverged");
+            // Deterministic statistics: choice counts, critical nodes,
+            // NPN cache hits/classes. Only wall times may differ.
+            assert_eq!(
+                first_stats.timeless(),
+                stats.timeless(),
+                "case {i}: a repeated build's stats diverged"
+            );
         }
     }
 }
 
-/// A wide random network: levels wide enough that the cut enumeration
-/// inside `build_mch` shards across workers at every tested thread count.
+/// A wide random network: levels wide enough that the mapper's cut
+/// enumeration shards across workers at every tested thread count.
 fn wide_arbitrary_network(i: usize) -> Network {
     let mut rng = Prng::seed_from_u64(0xC0_3317 + i as u64);
     let inputs = rng.gen_range(20..30);
@@ -88,29 +81,26 @@ fn wide_arbitrary_network(i: usize) -> Network {
 }
 
 #[test]
-fn commit_heavy_builds_are_identical_across_thread_counts() {
+fn commit_heavy_builds_are_identical_across_repeated_builds() {
     // Stress profile for the commit: wide circuits, two secondary
     // representations (so the one-to-one mapping emits twice per gate) and
-    // a raised candidate cap so commit traffic dominates the build, over
-    // cuts that were enumerated level-parallel. Every thread count must
-    // still produce the byte-identical choice network.
+    // a raised candidate cap so commit traffic dominates the build. A
+    // repeated build must still produce the byte-identical choice network.
     for i in 0..4 {
         let net = wide_arbitrary_network(i);
-        let mut base = MchParams::mixed(&[NetworkKind::Xag, NetworkKind::Xmg]);
-        base.max_candidates_per_node = 8;
-        let (serial_cn, serial_stats) = build_mch_with_stats(&net, &base.clone().with_threads(1));
-        for threads in THREAD_COUNTS {
-            let (cn, stats) = build_mch_with_stats(&net, &base.clone().with_threads(threads));
-            assert_eq!(
-                serial_cn, cn,
-                "case {i}: {threads}-thread commit-heavy build diverged from serial"
-            );
-            assert_eq!(
-                serial_stats.timeless(),
-                stats.timeless(),
-                "case {i}: {threads}-thread commit-heavy stats diverged"
-            );
-        }
+        let mut params = MchParams::mixed(&[NetworkKind::Xag, NetworkKind::Xmg]);
+        params.max_candidates_per_node = 8;
+        let (first_cn, first_stats) = build_mch_with_stats(&net, &params);
+        let (cn, stats) = build_mch_with_stats(&net, &params);
+        assert_eq!(
+            first_cn, cn,
+            "case {i}: a repeated commit-heavy build diverged"
+        );
+        assert_eq!(
+            first_stats.timeless(),
+            stats.timeless(),
+            "case {i}: a repeated commit-heavy build's stats diverged"
+        );
     }
 }
 
@@ -222,8 +212,7 @@ fn fused_flows_are_identical_across_thread_counts() {
 fn verify_stays_empty_over_the_random_suite() {
     // Property sweep: every choice class the construction records — one-to-one
     // styled candidates, NPN-replayed resyntheses, MFFC rewrites — must
-    // simulate equivalent to its representative, at serial and threaded
-    // builds alike.
+    // simulate equivalent to its representative.
     for i in 0..12 {
         let net = arbitrary_network(i);
         let params = match i % 3 {
@@ -231,16 +220,14 @@ fn verify_stays_empty_over_the_random_suite() {
             1 => MchParams::area_oriented(),
             _ => MchParams::mixed(&[NetworkKind::Mig, NetworkKind::Xmg]),
         };
-        for threads in [1, 4] {
-            let cn = build_mch(&net, &params.clone().with_threads(threads));
-            let bad = cn.verify(16, 0x0BAD_5EED ^ i as u64);
-            assert!(
-                bad.is_empty(),
-                "case {i} ({threads} threads): {} inconsistent choice classes, first {:?}",
-                bad.len(),
-                bad.first()
-            );
-        }
+        let cn = build_mch(&net, &params);
+        let bad = cn.verify(16, 0x0BAD_5EED ^ i as u64);
+        assert!(
+            bad.is_empty(),
+            "case {i}: {} inconsistent choice classes, first {:?}",
+            bad.len(),
+            bad.first()
+        );
     }
 }
 

@@ -46,7 +46,7 @@ fn render(&(circuit, build, choices, classes, hits, views): &Pin<'_>) -> String 
 
 fn observe(circuit: &str, config: &MchConfig) -> String {
     let network = benchmark(circuit).expect("suite circuit");
-    let (choices, stats) = build_mch_with_stats(&network, &config.mch.clone().with_threads(1));
+    let (choices, stats) = build_mch_with_stats(&network, &config.mch);
     let stats = stats.timeless();
     let views: Vec<u64> = std::iter::once(network.kind())
         .chain(config.mch.secondary.iter().copied())

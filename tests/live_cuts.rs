@@ -26,7 +26,7 @@ const CIRCUITS: [&str; 4] = ["max", "i2c", "adder", "arbiter"];
 /// linked in one sweep.
 fn flow_choices(network: &Network, config: &MchConfig) -> ChoiceNetwork {
     assert!(config.mix_optimized_snapshots);
-    let mut choices = build_mch(network, &config.mch.clone().with_threads(1));
+    let mut choices = build_mch(network, &config.mch);
     let kinds: Vec<NetworkKind> = std::iter::once(network.kind())
         .chain(config.mch.secondary.iter().copied())
         .collect();

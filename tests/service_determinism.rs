@@ -181,28 +181,26 @@ fn per_job_npn_stats_are_pinned_in_commit_order() {
     // The per-job NPN database counts hits/misses in that job's commit
     // order; a shared store behind it — cold or warmed by a *different*
     // circuit — must leave both the choice network and the deterministic
-    // stats byte-identical to a private-cache build, at every thread count.
-    for threads in [1, 2, 4, 8] {
-        let params = MchConfig::lut_area().mch.with_threads(threads);
-        for network in [adder(16), demo_adder_gt()] {
-            let (solo_cn, solo_stats) = build_mch_with_stats(&network, &params);
-            let shared = Arc::new(SharedNpnCache::new());
-            // Warm the store with another circuit's classes first.
-            let warmup = voter(9);
-            let _ = build_mch_with_stats_shared(&warmup, &params, Some(&shared));
-            let (shared_cn, shared_stats) =
-                build_mch_with_stats_shared(&network, &params, Some(&shared));
-            assert_eq!(
-                solo_cn.network(),
-                shared_cn.network(),
-                "shared store changed the choice network at {threads} threads"
-            );
-            assert_eq!(
-                solo_stats.timeless(),
-                shared_stats.timeless(),
-                "shared store changed per-job stats at {threads} threads"
-            );
-        }
+    // stats byte-identical to a private-cache build.
+    let params = MchConfig::lut_area().mch;
+    for network in [adder(16), demo_adder_gt()] {
+        let (solo_cn, solo_stats) = build_mch_with_stats(&network, &params);
+        let shared = Arc::new(SharedNpnCache::new());
+        // Warm the store with another circuit's classes first.
+        let warmup = voter(9);
+        let _ = build_mch_with_stats_shared(&warmup, &params, Some(&shared));
+        let (shared_cn, shared_stats) =
+            build_mch_with_stats_shared(&network, &params, Some(&shared));
+        assert_eq!(
+            solo_cn.network(),
+            shared_cn.network(),
+            "shared store changed the choice network"
+        );
+        assert_eq!(
+            solo_stats.timeless(),
+            shared_stats.timeless(),
+            "shared store changed per-job stats"
+        );
     }
 }
 

@@ -17,7 +17,7 @@ use mch::opt::graph_map;
 /// Links added per view (in flow order) and the final choice count.
 fn link_counts(circuit: &str, config: &MchConfig) -> (Vec<usize>, usize) {
     let network = benchmark(circuit).expect("suite circuit");
-    let mut choices = build_mch(&network, &config.mch.clone().with_threads(1));
+    let mut choices = build_mch(&network, &config.mch);
     let kinds: Vec<NetworkKind> = std::iter::once(network.kind())
         .chain(config.mch.secondary.iter().copied())
         .collect();

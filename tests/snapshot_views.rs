@@ -49,7 +49,7 @@ fn check_preset(config: MchConfig) {
             config.name
         );
 
-        let built = build_mch(&network, &config.mch.clone().with_threads(1));
+        let built = build_mch(&network, &config.mch);
         let mut per_view = built.clone();
         let expected = link_per_view(&mut per_view, &views);
         let mut one_sweep = built;
